@@ -11,6 +11,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -608,7 +609,7 @@ func e11Transport(quick bool) {
 	row("---", "---", "---", "---", "---")
 	row("in-process", 1, res.Answers.Len(), res.Stats.Messages(), el)
 	for _, sites := range []int{2, 4} {
-		ans, msgs, el, err := runTCP(prog, sites)
+		ans, msgs, el, err := runTCP(prog, sites, transport.Config{})
 		if err != nil {
 			fmt.Println("tcp error:", err)
 			continue
@@ -941,11 +942,7 @@ func microJoin2Col(b *testing.B) {
 	}
 }
 
-func runTCP(prog *ast.Program, sites int) (answers int, msgs int64, elapsed time.Duration, err error) {
-	return runTCPConfig(prog, sites, transport.Config{HeartbeatInterval: transport.NoHeartbeat})
-}
-
-func runTCPConfig(prog *ast.Program, sites int, cfg transport.Config) (answers int, msgs int64, elapsed time.Duration, err error) {
+func runTCP(prog *ast.Program, sites int, cfg transport.Config) (answers int, msgs int64, elapsed time.Duration, err error) {
 	res, elapsed, err := runSitesGraph(mustBuild(prog), prog, sites, cfg, engine.Options{})
 	if err != nil {
 		return 0, 0, 0, err
@@ -1010,12 +1007,12 @@ func runSitesGraph(g *rgg.Graph, prog *ast.Program, sites int, cfg transport.Con
 // a4Failure measures what failure-aware evaluation costs a query that
 // never fails. Both sides of every comparison run on the same binary —
 // the machinery is runtime-toggled — so the deltas isolate exactly the
-// new work: an armed watchdog goroutine selecting on deadline, cancel,
-// and peer-down for the whole evaluation (in-process rows; the
-// per-message Abort check is always on and is part of both sides), and
-// heartbeat traffic with read/write deadlines on every site-pair
-// connection (TCP rows). With -json the measurements are written out as
-// the record behind BENCH_2.json.
+// new work: an armed watchdog (a context deadline plus a peer-down
+// watcher) for the whole evaluation (in-process rows; the per-message
+// Abort check is always on and is part of both sides). The TCP row times
+// the sequenced transport with heartbeats flowing on every site-pair
+// connection. With -json the measurements are written out in the shape
+// of BENCH_2.json.
 func a4Failure(quick bool) {
 	header("A4", "failure-handling overhead on the failure-free path",
 		"the default path (heartbeats on, abort checks always on) regresses <2%; an armed deadline is an opt-in runtime timer tax, reported separately")
@@ -1033,11 +1030,12 @@ func a4Failure(quick bool) {
 		res := testing.Benchmark(func(b *testing.B) {
 			opts := engine.Options{}
 			if armed {
-				// A deadline far in the future plus live cancel and
-				// peer-down channels: the watchdog runs for the whole
+				// A context deadline far in the future plus a live
+				// peer-down channel: the watchdog is armed for the whole
 				// evaluation but never fires.
-				opts.Deadline = time.Hour
-				opts.Cancel = make(chan struct{})
+				ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+				defer cancel()
+				opts.Context = ctx
 				opts.PeerDown = make(chan transport.PeerDown)
 			}
 			b.ReportAllocs()
@@ -1104,7 +1102,7 @@ func a4Failure(quick bool) {
 			on.NsPerOp, fmt.Sprintf("%+.2f%%", pct))
 	}
 
-	// Distributed: 2 TCP sites, heartbeats off vs a 20ms interval — tight
+	// Distributed: 2 TCP sites with a 20ms heartbeat interval — tight
 	// enough that liveness frames demonstrably flow during the run (the
 	// 500ms production default would never fire on a run this short).
 	trials, n := 5, 32
@@ -1123,7 +1121,7 @@ func a4Failure(quick bool) {
 		times := make([]time.Duration, 0, trials)
 		answers := 0
 		for i := 0; i < trials; i++ {
-			ans, _, el, err := runTCPConfig(prog, 2, transport.Config{HeartbeatInterval: hb, Stats: st})
+			ans, _, el, err := runTCP(prog, 2, transport.Config{HeartbeatInterval: hb, Stats: st})
 			if err != nil {
 				panic(err)
 			}
@@ -1136,7 +1134,7 @@ func a4Failure(quick bool) {
 	fmt.Println()
 	row("tcp 2 sites (E11 shape)", "median time", "heartbeats", "answers")
 	row("---", "---", "---", "---")
-	dist := []tcpResult{runOne(transport.NoHeartbeat, "off"), runOne(20*time.Millisecond, "20ms")}
+	dist := []tcpResult{runOne(20*time.Millisecond, "20ms")}
 	for _, r := range dist {
 		row("heartbeat "+r.Heartbeat, r.MedianTime, r.Heartbeats, r.Answers)
 	}
@@ -1158,8 +1156,8 @@ func a4Failure(quick bool) {
 				"in-process rows compare this tree with no deadline armed (but the Abort " +
 				"check and abort bookkeeping compiled into every process loop) against the " +
 				"same benchmarks recorded in BENCH_1.json before the change " +
-				"(off_vs_bench1_pct), and TCP rows compare heartbeats on vs off on the " +
-				"same tree. deadline_overhead_pct is reported separately: arming a " +
+				"(off_vs_bench1_pct); the TCP row times the sequenced transport with " +
+				"heartbeats flowing. deadline_overhead_pct is reported separately: arming a " +
 				"wall-clock deadline is opt-in and pays the Go runtime's pending-timer " +
 				"scheduler tax (see commentary). Best of 6 interleaved benchmark runs per " +
 				"side; TCP rows are the median of 5 trials. Reproduce with " +
@@ -1169,7 +1167,8 @@ func a4Failure(quick bool) {
 			InProcess:   micro,
 			Distributed: dist,
 			Commentary: "Heartbeats ride per-connection ticker goroutines and never touch " +
-				"the engine's message path, so the TCP rows with heartbeats on and off are " +
+				"the engine's message path; the committed BENCH_2.json, recorded while the " +
+				"transport could still run unsequenced, shows heartbeats on and off " +
 				"indistinguishable. The per-message Abort check (one predictable branch per " +
 				"process-loop iteration) plus the abort bookkeeping is the only always-on " +
 				"cost; off_vs_bench1_pct bounds it against the pre-change tree. Arming a " +
@@ -1179,8 +1178,8 @@ func a4Failure(quick bool) {
 				"with no engine involvement reproduces the same few-percent slowdown on " +
 				"these scheduler-bound microqueries (~10us on a ~120us query, shrinking in " +
 				"relative terms as queries grow). The watchdog itself arms and disarms in " +
-				"~1.3us (time.AfterFunc for the deadline, no goroutine parked on a timer " +
-				"channel; cancel/peer-down watchers measure at noise). That tax is paid " +
+				"~1.3us (context.AfterFunc on the evaluation's context, no goroutine " +
+				"parked on a timer channel; the peer-down watcher measures at noise). That tax is paid " +
 				"only by queries that request a deadline, which is exactly the trade a " +
 				"caller asking for bounded wall-clock time is making.",
 		}
@@ -1709,7 +1708,7 @@ func a7Partitions(quick bool) {
 		var times []time.Duration
 		var res *engine.Result
 		for t := 0; t < trials; t++ {
-			r, el, err := runSitesGraph(gp, prog, 2, transport.Config{HeartbeatInterval: transport.NoHeartbeat},
+			r, el, err := runSitesGraph(gp, prog, 2, transport.Config{},
 				engine.Options{Partitions: p, EDBDelay: delay, Batch: true})
 			if err != nil {
 				panic(err)

@@ -48,6 +48,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -55,6 +56,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"time"
 
 	"repro"
 	"repro/internal/parser"
@@ -120,9 +122,7 @@ func main() {
 	if *traceMsgs {
 		opts = append(opts, mpq.WithTrace(os.Stderr))
 	}
-	if *timeout > 0 {
-		opts = append(opts, mpq.WithDeadline(*timeout))
-	}
+	evalTimeout = *timeout
 	if p := resolvePartitions(*partitions); p >= 2 {
 		opts = append(opts, mpq.WithPartitions(p))
 	}
@@ -170,7 +170,7 @@ func main() {
 		}
 		return
 	}
-	ans, err := sys.Eval(opts...)
+	ans, err := eval(sys, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -399,7 +399,7 @@ func explainPlan(sys *mpq.System, eng mpq.Engine, opts []mpq.Option) error {
 		return err
 	}
 	fmt.Print(text)
-	ans, err := sys.Eval(opts...)
+	ans, err := eval(sys, opts)
 	if err != nil {
 		return err
 	}
@@ -489,6 +489,20 @@ func repl(programPath string, data dataFlags, opts []mpq.Option, stats bool, obs
 	}
 }
 
+// evalTimeout is the -timeout budget; each evaluation counts it from its
+// own start, so REPL queries get a full budget apiece.
+var evalTimeout time.Duration
+
+// eval evaluates sys under the -timeout budget, if any.
+func eval(sys *mpq.System, opts []mpq.Option) (*mpq.Answer, error) {
+	if evalTimeout > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), evalTimeout)
+		defer cancel()
+		opts = append(opts[:len(opts):len(opts)], mpq.WithContext(ctx))
+	}
+	return sys.Eval(opts...)
+}
+
 func evalQuery(clauses []string, query string, data dataFlags, opts []mpq.Option, stats bool, obs *observer) {
 	src := strings.Join(clauses, "\n") + "\n" + query
 	sys, err := mpq.Load(src)
@@ -500,7 +514,7 @@ func evalQuery(clauses []string, query string, data dataFlags, opts []mpq.Option
 		fmt.Println(err)
 		return
 	}
-	ans, err := sys.Eval(opts...)
+	ans, err := eval(sys, opts)
 	if err != nil {
 		fmt.Println(err)
 		return

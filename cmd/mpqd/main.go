@@ -74,7 +74,7 @@ func main() {
 	reoptThreshold := flag.Float64("reopt-threshold", 0, "-serve with -strategy auto: statistics-drift fraction that re-optimizes cached plans (0 = default, negative disables)")
 	stats := flag.Bool("stats", false, "print execution statistics (driver site)")
 	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "total window for (re)connecting to a peer site before declaring it down")
-	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "liveness heartbeat interval per peer connection (0 disables heartbeats)")
+	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "liveness heartbeat interval per peer connection (must be positive)")
 	maxBackoff := flag.Duration("max-backoff", time.Second, "cap on the exponential reconnect backoff")
 	deadline := flag.Duration("deadline", 0, "abort the query after this wall-clock time (0 = no deadline)")
 	chaos := flag.String("chaos", "", "fault-injection spec: 'delay:FROM-TO:D[:JITTER];cut:FROM-TO:N[:HEAL];crash:SITE:N' ('*' = any site)")
@@ -95,6 +95,10 @@ func main() {
 	partitions := flag.Int("partitions", 0, "hash-partitioned worker shards per node process (-serve: 0 = GOMAXPROCS; multi-site: must be set identically on every site, 0 = sequential)")
 	store := flag.String("store", "", "-serve: persistent EDB directory (created on first run; facts, statistics epoch, and result-cache version survive restarts)")
 	flag.Parse()
+	if *heartbeat <= 0 {
+		fmt.Fprintf(os.Stderr, "usage: mpqd: -heartbeat must be positive, got %v\n", *heartbeat)
+		os.Exit(2)
+	}
 
 	if *serveAddr != "" {
 		runServe(*serveAddr, *programPath, *metricsAddr, *store, *drainTimeout, serve.Config{
@@ -151,9 +155,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mpqd: "+format+"\n", args...)
 		},
 	}
-	if *heartbeat == 0 {
-		cfg.HeartbeatInterval = transport.NoHeartbeat
-	}
 
 	local := transport.NewLocal(len(g.Nodes) + 1)
 	tcp, err := transport.NewTCPConfig(*site, addrs, hosts, local, cfg)
@@ -204,12 +205,17 @@ func main() {
 	// count), and senders stamp shard routes for remote nodes too, so every
 	// site must run the same count. GOMAXPROCS can differ across machines —
 	// no auto here; the flag must be set explicitly (and identically).
-	// SIGINT/SIGTERM cancel the evaluation (it aborts with ErrCancelled)
-	// instead of killing the process mid-protocol.
-	sig, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// SIGINT/SIGTERM cancel the evaluation (it aborts with
+	// engine.ErrCancelled) instead of killing the process mid-protocol;
+	// -deadline bounds it (engine.ErrDeadline).
+	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSig()
-	opts := engine.Options{Stats: st, Deadline: *deadline, PeerDown: down,
-		Partitions: *partitions, Cancel: sig.Done()}
+	if *deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *deadline)
+		defer cancel()
+	}
+	opts := engine.Options{Stats: st, Context: ctx, PeerDown: down, Partitions: *partitions}
 	var prof *trace.Profile
 	if *profile {
 		prof = trace.NewProfile()
@@ -253,7 +259,7 @@ func main() {
 // compiled plans across queries and connections. The diagnostics mux
 // additionally gains POST /query. On a signal the server drains: new
 // work is rejected, in-flight queries get drainTimeout to finish, then
-// the rest are aborted with mpq.ErrCancelled.
+// the rest are aborted with engine.ErrCancelled (context.Canceled).
 func runServe(addr, programPath, metricsAddr, storeDir string, drainTimeout time.Duration, cfg serve.Config) {
 	if programPath == "" {
 		fmt.Fprintln(os.Stderr, "usage: mpqd -program q.dl -serve ADDR [-store DIR] [-max-concurrent N] [-deadline D] [-metrics ADDR]")

@@ -111,6 +111,21 @@ func TestCommandsEndToEnd(t *testing.T) {
 		site1.Wait()
 	})
 
+	t.Run("mpqd-heartbeat", func(t *testing.T) {
+		// Heartbeats cannot be turned off: zero and negative intervals are
+		// usage errors, not a silent switch to an unsequenced transport.
+		for _, hb := range []string{"0", "-1s"} {
+			out, err := exec.Command(filepath.Join(bin, "mpqd"), "-program", prog,
+				"-site", "0", "-addrs", "127.0.0.1:7914,127.0.0.1:7915", "-heartbeat", hb).CombinedOutput()
+			if err == nil {
+				t.Errorf("-heartbeat %s: exit 0, want a usage error\n%s", hb, out)
+			}
+			if !strings.Contains(string(out), "-heartbeat must be positive") {
+				t.Errorf("-heartbeat %s: output lacks the usage message:\n%s", hb, out)
+			}
+		}
+	})
+
 	t.Run("serve", func(t *testing.T) {
 		servProg := filepath.Join(dir, "serve.dl")
 		if err := os.WriteFile(servProg, []byte(`

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 
 	"repro"
+	"repro/internal/trace"
 )
 
 // base holds the knowledge rules; queries are appended per question.
@@ -99,15 +100,16 @@ chips_ltd,south
 	// exposed to the east region at all? Stop at the first witness.
 	probe := load(dir, base+`goal :- exposed(widget, east).`)
 	found := false
-	st, err := probe.EvalStream(func([]string) bool {
+	var st trace.Stats
+	for _, err := range probe.Answers(mpq.WithStats(&st)) {
+		if err != nil {
+			log.Fatal(err)
+		}
 		found = true
-		return false // first witness is enough
-	})
-	if err != nil {
-		log.Fatal(err)
+		break // first witness is enough
 	}
 	fmt.Printf("\nwidget exposed to east region: %v (stopped after %d messages)\n",
-		found, st.Messages())
+		found, st.Snapshot().Messages())
 }
 
 // load parses the program and attaches the three CSV relations.

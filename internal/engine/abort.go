@@ -1,9 +1,9 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/msg"
 )
@@ -17,9 +17,11 @@ var (
 	// (heartbeat loss followed by a failed reconnect window, or an
 	// injected FaultNet crash).
 	ErrSiteDown = errors.New("engine: site down")
-	// ErrDeadline: the evaluation exceeded Options.Deadline.
+	// ErrDeadline: the deadline of Options.Context passed. The returned
+	// error also satisfies errors.Is(err, context.DeadlineExceeded).
 	ErrDeadline = errors.New("engine: deadline exceeded")
-	// ErrCancelled: Options.Cancel was closed by the caller.
+	// ErrCancelled: Options.Context was cancelled. The returned error also
+	// satisfies errors.Is(err, context.Canceled).
 	ErrCancelled = errors.New("engine: evaluation cancelled")
 	// ErrNodePanic: a node process panicked; the error note carries the
 	// node and stack trace instead of the panic killing the whole site.
@@ -29,18 +31,20 @@ var (
 	ErrAborted = errors.New("engine: evaluation aborted")
 )
 
-// abortReasonError maps a msg.Abort reason code to the typed error.
+// abortReasonError maps a msg.Abort reason code to the typed error. The
+// two context-caused reasons wrap the context sentinel as well, so every
+// site — not just the one whose context ended — reports both taxonomies.
 func abortReasonError(reason uint8, note string) error {
 	var base error
 	switch reason {
 	case msg.AbortSiteDown:
 		base = ErrSiteDown
 	case msg.AbortDeadline:
-		base = ErrDeadline
+		base = fmt.Errorf("%w (%w)", ErrDeadline, context.DeadlineExceeded)
 	case msg.AbortPanic:
 		base = ErrNodePanic
 	case msg.AbortCancelled:
-		base = ErrCancelled
+		base = fmt.Errorf("%w (%w)", ErrCancelled, context.Canceled)
 	default:
 		base = ErrAborted
 	}
@@ -103,6 +107,20 @@ func (rt *runner) abort(reason uint8, note string) {
 	}
 }
 
+// ctxReason maps a context's Err to the abort reason it causes.
+func ctxReason(err error) uint8 {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return msg.AbortDeadline
+	}
+	return msg.AbortCancelled
+}
+
+// ContextError is the error an evaluation returns when its context ended
+// with err (ctx.Err()), for callers that observe the context outside a
+// run — a subscription waiting for its next mutation, say — and must
+// report it exactly as an aborted run would.
+func ContextError(err error) error { return abortReasonError(ctxReason(err), "") }
+
 // abortError returns the recorded abort error, nil if the evaluation was
 // not aborted.
 func (rt *runner) abortError() error {
@@ -111,58 +129,48 @@ func (rt *runner) abortError() error {
 	return rt.abortErr
 }
 
-// startWatch launches the failure watchdog for this site: it aborts the
-// evaluation when the wall-clock deadline passes, the caller cancels, or
-// the transport reports a peer site down. The returned stop function ends
-// the watchdog on normal completion. Two costs are deliberately kept off
-// the per-query path (experiment A4): the deadline is a time.AfterFunc —
-// no goroutine parked on a timer channel — and stop does not wait for the
-// watcher goroutine to exit; it latches abortOff first, so a watchdog
-// firing after completion is a recorded no-op that unwinds in the
-// background.
+// startWatch arms the failure watchdog for this site: it aborts the
+// evaluation when Options.Context ends (AbortDeadline or AbortCancelled,
+// after ctx.Err()) or the transport reports a peer site down. The returned
+// stop function disarms it on normal completion. The context costs no
+// goroutine per evaluation (experiment A4): context.AfterFunc registers a
+// callback that runs only if the context ends. Only PeerDown needs a
+// watcher goroutine, and stop does not wait for it to exit; it latches
+// abortOff first, so a watchdog firing after completion is a recorded
+// no-op that unwinds in the background.
 func (rt *runner) startWatch(opts Options) (stop func()) {
-	var tm *time.Timer
-	if opts.Deadline > 0 {
-		d := opts.Deadline
-		tm = time.AfterFunc(d, func() {
-			rt.abort(msg.AbortDeadline, fmt.Sprintf("after %v", d))
-		})
+	var stopCtx func() bool
+	if ctx := opts.Context; ctx != nil && ctx.Done() != nil {
+		if err := ctx.Err(); err != nil {
+			// Already ended: abort before any process runs, so the outcome
+			// does not race a fast evaluation.
+			rt.abort(ctxReason(err), "")
+		} else {
+			stopCtx = context.AfterFunc(ctx, func() { rt.abort(ctxReason(ctx.Err()), "") })
+		}
 	}
 	var stopCh chan struct{}
-	if opts.Cancel != nil || opts.PeerDown != nil {
+	if opts.PeerDown != nil {
 		stopCh = make(chan struct{})
 		go func() {
-			peerDown := opts.PeerDown
-			for {
-				select {
-				case <-stopCh:
-					return
-				case <-opts.Cancel:
-					rt.abort(msg.AbortCancelled, "cancelled by caller")
-					return
-				case pd, ok := <-peerDown:
-					if !ok {
-						// Channel closed without an event: stop watching it
-						// (a nil channel blocks forever) but keep honoring
-						// Cancel and stop.
-						peerDown = nil
-						continue
-					}
+			select {
+			case <-stopCh:
+			case pd, ok := <-opts.PeerDown:
+				if ok { // closed without an event: nothing left to watch
 					rt.abort(msg.AbortSiteDown, fmt.Sprintf("site %d: %v", pd.Site, pd.Err))
-					return
 				}
 			}
 		}()
 	}
-	if tm == nil && stopCh == nil {
+	if stopCtx == nil && stopCh == nil {
 		return func() {}
 	}
 	return func() {
 		rt.abortMu.Lock()
 		rt.abortOff = true
 		rt.abortMu.Unlock()
-		if tm != nil {
-			tm.Stop()
+		if stopCtx != nil {
+			stopCtx()
 		}
 		if stopCh != nil {
 			close(stopCh)

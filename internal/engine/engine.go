@@ -23,6 +23,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -65,15 +66,14 @@ type Options struct {
 	// processes overlap these waits, sequential evaluation cannot. Zero
 	// (the default) disables the simulation.
 	EDBDelay time.Duration
-	// Deadline, when positive, bounds the evaluation in wall-clock time:
-	// when it expires the query is aborted everywhere (an Abort message is
-	// broadcast to every node process) and Run/RunSites return ErrDeadline
-	// instead of hanging.
-	Deadline time.Duration
-	// Cancel, when non-nil, aborts the evaluation when closed; Run returns
-	// ErrCancelled. (RunStream's yield-false is still the graceful early
-	// exit; Cancel is the emergency stop usable from any goroutine.)
-	Cancel <-chan struct{}
+	// Context, when non-nil, bounds the evaluation: when it is cancelled or
+	// its deadline passes, the query is aborted everywhere (an Abort
+	// message is broadcast to every node process) and Run/RunSites return
+	// an error satisfying errors.Is for ErrCancelled and context.Canceled,
+	// or for ErrDeadline and context.DeadlineExceeded. Nil means never
+	// cancelled. (RunStream's yield-false is still the graceful early exit;
+	// the context is the emergency stop usable from any goroutine.)
+	Context context.Context
 	// PeerDown, when non-nil, delivers transport failure events
 	// (transport.TCP.Down or transport.FaultNet.Down). The first event
 	// aborts the query and RunSites returns ErrSiteDown. Each site should
@@ -198,7 +198,7 @@ func RunSites(g *rgg.Graph, db edb.Storage, net transport.Network, local *transp
 	}
 	// Non-driver site: wait for this site's processes to exit (Shutdown
 	// from the driver, or an Abort). The watchdog covers this wait too, so
-	// a dead driver site cannot leave us blocked forever when a deadline or
+	// a dead driver site cannot leave us blocked forever when a context or
 	// PeerDown channel is configured.
 	rt.wg.Wait()
 	stop()
@@ -453,7 +453,7 @@ func (rt *runner) driveStream(box *transport.Mailbox, yield func(relation.Tuple)
 			break
 		}
 		switch m.Kind {
-		case msg.Tuple, msg.TupleBatch:
+		case msg.Tuple:
 			cancelled := false
 			eachRow(m, arity, func(vals []symtab.Sym) {
 				if cancelled {
@@ -502,15 +502,9 @@ func (rt *runner) send(m msg.Message) {
 		rt.stats.RelReq()
 	case msg.TupReq:
 		rt.stats.TupReq()
-		rows := m.Count
-		if rows < 1 {
-			rows = 1
-		}
-		rt.stats.TupReqRows(rows)
+		rt.stats.TupReqRows(m.Rows())
 	case msg.Tuple:
-		rt.stats.TupleMsg()
-	case msg.TupleBatch:
-		rt.stats.TupleBatchMsg(m.Count)
+		rt.stats.TupleMsg(m.Rows())
 	case msg.End:
 		rt.stats.EndMsg()
 	case msg.ReqEnd:
@@ -525,17 +519,10 @@ func (rt *runner) send(m msg.Message) {
 			sh.Msg()
 		case msg.TupReq:
 			sh.Msg()
-			rows := m.Count
-			if rows < 1 {
-				rows = 1
-			}
-			sh.ReqRows(rows)
+			sh.ReqRows(m.Rows())
 		case msg.Tuple:
 			sh.Msg()
-			sh.RowsOut(1)
-		case msg.TupleBatch:
-			sh.Msg()
-			sh.RowsOut(m.Count)
+			sh.RowsOut(m.Rows())
 		case msg.EndReq, msg.EndNeg, msg.EndConf, msg.Nudge:
 			sh.ProtocolMsg()
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -43,12 +44,20 @@ func guard(t *testing.T, limit time.Duration, what string, fn func()) {
 	}
 }
 
+// within returns a context that expires after d and is released when the
+// test ends.
+func within(t *testing.T, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	t.Cleanup(cancel)
+	return ctx
+}
+
 func TestDeadlineAbortsRun(t *testing.T) {
 	g, db := slowWorkload(t)
 	guard(t, 30*time.Second, "deadline abort", func() {
-		res, err := Run(g, db, Options{EDBDelay: 2 * time.Millisecond, Deadline: 25 * time.Millisecond})
-		if !errors.Is(err, ErrDeadline) {
-			t.Errorf("err = %v, want ErrDeadline", err)
+		res, err := Run(g, db, Options{EDBDelay: 2 * time.Millisecond, Context: within(t, 25*time.Millisecond)})
+		if !errors.Is(err, ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("err = %v, want ErrDeadline and context.DeadlineExceeded", err)
 		}
 		if res != nil {
 			t.Error("aborted run returned a result")
@@ -59,7 +68,7 @@ func TestDeadlineAbortsRun(t *testing.T) {
 func TestDeadlineLeavesFastQueriesAlone(t *testing.T) {
 	g, db := slowWorkload(t)
 	guard(t, 30*time.Second, "deadlined run", func() {
-		res, err := Run(g, db, Options{Deadline: 30 * time.Second})
+		res, err := Run(g, db, Options{Context: within(t, 30*time.Second)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,15 +80,16 @@ func TestDeadlineLeavesFastQueriesAlone(t *testing.T) {
 
 func TestCancelAbortsRun(t *testing.T) {
 	g, db := slowWorkload(t)
-	cancel := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		close(cancel)
+		cancel()
 	}()
 	guard(t, 30*time.Second, "cancel abort", func() {
-		_, err := Run(g, db, Options{EDBDelay: 2 * time.Millisecond, Cancel: cancel})
-		if !errors.Is(err, ErrCancelled) {
-			t.Errorf("err = %v, want ErrCancelled", err)
+		_, err := Run(g, db, Options{EDBDelay: 2 * time.Millisecond, Context: ctx})
+		if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want ErrCancelled and context.Canceled", err)
 		}
 	})
 }
@@ -92,7 +102,7 @@ type panicNet struct {
 }
 
 func (p *panicNet) Send(m msg.Message) {
-	if m.Kind == msg.Tuple || m.Kind == msg.TupleBatch {
+	if m.Kind == msg.Tuple {
 		armed := false
 		p.once.Do(func() { armed = true })
 		if armed {
@@ -271,7 +281,7 @@ func TestChaosSoak(t *testing.T) {
 			sc := sc
 			t.Run(wl.name+"/"+sc.name, func(t *testing.T) {
 				res, derr, errs, faultDrops := chaosSites(t, g, mkDB, 3, sc.configure,
-					Options{Deadline: 4 * time.Second})
+					Options{Context: within(t, 4*time.Second)})
 				for i, e := range errs[1:] {
 					if e != nil && !typedAbort(e) {
 						t.Errorf("site %d returned untyped error: %v", i+1, e)
@@ -331,7 +341,8 @@ func TestDriverMailboxCloseAborts(t *testing.T) {
 
 // TestWatchdogSurvivesClosedPeerDownChannel pins the startWatch fix: a
 // PeerDown channel that is closed without ever delivering an event must not
-// park the watchdog — a later Cancel still has to abort the evaluation.
+// disarm the watchdog — a later cancellation still has to abort the
+// evaluation.
 func TestWatchdogSurvivesClosedPeerDownChannel(t *testing.T) {
 	g, db := slowWorkload(t)
 	local := transport.NewLocal(len(g.Nodes) + 1)
@@ -341,12 +352,12 @@ func TestWatchdogSurvivesClosedPeerDownChannel(t *testing.T) {
 	}
 	pd := make(chan transport.PeerDown)
 	close(pd) // closed immediately, no event ever sent
-	cancel := make(chan struct{})
-	stop := rt.startWatch(Options{PeerDown: pd, Cancel: cancel})
+	ctx, cancel := context.WithCancel(context.Background())
+	stop := rt.startWatch(Options{PeerDown: pd, Context: ctx})
 	defer stop()
 
 	time.Sleep(10 * time.Millisecond) // let the watchdog observe the close
-	close(cancel)
+	cancel()
 	deadline := time.Now().Add(5 * time.Second)
 	for rt.abortError() == nil && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -354,4 +365,66 @@ func TestWatchdogSurvivesClosedPeerDownChannel(t *testing.T) {
 	if err := rt.abortError(); !errors.Is(err, ErrCancelled) {
 		t.Errorf("abort error = %v, want ErrCancelled (watchdog parked by the closed PeerDown channel?)", err)
 	}
+}
+
+// TestRunSitesDeadlineAndCancelTaxonomy: a context that ends mid-query
+// aborts every site of a multi-site run, and every site's error satisfies
+// both taxonomies — the engine sentinel and the context sentinel — whether
+// the site saw its own context end or an Abort relayed from a peer.
+func TestRunSitesDeadlineAndCancelTaxonomy(t *testing.T) {
+	g, _ := slowWorkload(t)
+	mkDB := func() *edb.Database { _, db := slowWorkload(t); return db }
+	for _, tc := range []struct {
+		name              string
+		ctx               func() context.Context
+		engineErr, ctxErr error
+	}{
+		{"deadline", func() context.Context { return within(t, 25*time.Millisecond) },
+			ErrDeadline, context.DeadlineExceeded},
+		{"cancel", func() context.Context {
+			ctx, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
+			time.AfterFunc(25*time.Millisecond, cancel)
+			return ctx
+		}, ErrCancelled, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, errs, _ := chaosSites(t, g, mkDB, 2, nil,
+				Options{Context: tc.ctx(), EDBDelay: 2 * time.Millisecond})
+			for i, err := range errs {
+				if !errors.Is(err, tc.engineErr) || !errors.Is(err, tc.ctxErr) {
+					t.Errorf("site %d: err = %v, want %v and %v", i, err, tc.engineErr, tc.ctxErr)
+				}
+			}
+		})
+	}
+}
+
+// TestNilContextNeverCancels: a nil Options.Context and a nil Round
+// context both mean "never cancelled"; embedders that pass neither (the
+// benchmark harness among them) get complete runs.
+func TestNilContextNeverCancels(t *testing.T) {
+	prog := workload.Program(workload.TCRules, workload.Chain("edge", 10))
+	g, err := rgg.Build(prog, rgg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := workload.DB(prog)
+	guard(t, 30*time.Second, "nil-context run", func() {
+		res, err := Run(g, db, Options{Context: nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Answers.Len() != 9 {
+			t.Errorf("Run: %d answers, want 9", res.Answers.Len())
+		}
+		inc := NewPlan(g, db).Incremental(Options{})
+		if res, err = inc.Round(nil, nil); err != nil || res.Answers.Len() != 9 {
+			t.Fatalf("first Round(nil): %v, %v", res, err)
+		}
+		db.Add("edge", "n9", "n10")
+		if res, err = inc.Round(nil, nil); err != nil || res.Answers.Len() != 1 {
+			t.Fatalf("delta Round(nil): %v, %v", res, err)
+		}
+	})
 }

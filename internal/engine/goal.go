@@ -135,8 +135,8 @@ func (g *goalState) handle(m msg.Message) {
 	case msg.RelReq:
 		g.onRelReq(m)
 	case msg.TupReq:
-		eachBinding(m, len(g.dPos), func(vals []symtab.Sym) { g.onTupReq(m.From, vals) })
-	case msg.Tuple, msg.TupleBatch:
+		eachRow(m, len(g.dPos), func(vals []symtab.Sym) { g.onTupReq(m.From, vals) })
+	case msg.Tuple:
 		eachRow(m, len(g.carried), g.onTuple)
 	case msg.ReqEnd:
 		g.customer(m.From).reqEnd = true

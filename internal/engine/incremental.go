@@ -23,6 +23,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 
 	"repro/internal/relation"
@@ -65,17 +66,17 @@ func (pl *Plan) Incremental(opts Options) *Incremental {
 
 // Round runs one evaluation round: a full run the first time, a delta round
 // after. yield (optional) streams answers as they arrive; the returned
-// Result holds this round's new answers only. cancel (optional) aborts the
-// round like Options.Cancel. A round that returns an error leaves the
-// retained state unreliable: every later Round returns
+// Result holds this round's new answers only. ctx (nil means never
+// cancelled) bounds the round like Options.Context. A round that returns
+// an error leaves the retained state unreliable: every later Round returns
 // ErrIncrementalBroken.
-func (inc *Incremental) Round(cancel <-chan struct{}, yield func(relation.Tuple) bool) (*Result, error) {
+func (inc *Incremental) Round(ctx context.Context, yield func(relation.Tuple) bool) (*Result, error) {
 	if inc.broken {
 		return nil, ErrIncrementalBroken
 	}
 	opts := inc.opts
-	if cancel != nil {
-		opts.Cancel = cancel
+	if ctx != nil {
+		opts.Context = ctx
 	}
 	if inc.s == nil {
 		partitions := opts.Partitions

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -222,9 +223,9 @@ func TestIncrementalBroken(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc := NewPlan(g, db).Incremental(Options{})
-	cancel := make(chan struct{})
-	close(cancel)
-	if _, err := inc.Round(cancel, func(relation.Tuple) bool { return true }); err == nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := inc.Round(ctx, func(relation.Tuple) bool { return true }); err == nil {
 		t.Fatal("cancelled round returned nil error")
 	}
 	if _, err := inc.Round(nil, func(relation.Tuple) bool { return true }); err != ErrIncrementalBroken {

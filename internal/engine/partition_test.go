@@ -403,7 +403,7 @@ func TestPartitionedChaosSoak(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			res, derr, errs, faultDrops := chaosSites(t, g, mkDB, 3, sc.configure,
-				Options{Deadline: 4 * time.Second, Partitions: 4})
+				Options{Context: within(t, 4*time.Second), Partitions: 4})
 			for i, e := range errs[1:] {
 				if e != nil && !typedAbort(e) {
 					t.Errorf("site %d returned untyped error: %v", i+1, e)

@@ -21,7 +21,7 @@ import (
 // A Plan is safe for concurrent use: simultaneous runs draw distinct
 // scratch sets from the pool (allocating fresh ones when it is empty), and
 // the database is only read after the one-time warm. The database must not
-// be mutated while runs are in flight, and Deadline/Cancel/PeerDown options
+// be mutated while runs are in flight, and the Context/PeerDown options
 // behave exactly as in Run.
 type Plan struct {
 	g    *rgg.Graph

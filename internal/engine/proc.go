@@ -256,12 +256,8 @@ func (p *proc) observe(m msg.Message, start time.Time) {
 		p.shard.Handled(at, dur)
 	}
 	if l := p.rt.events; l != nil {
-		rows := m.Count
-		if rows < 1 {
-			rows = 1
-		}
 		l.Add(trace.Event{At: at, Dur: dur, Op: trace.EvHandle,
-			Node: p.id, From: m.From, Kind: uint8(m.Kind), Rows: rows})
+			Node: p.id, From: m.From, Kind: uint8(m.Kind), Rows: m.Rows()})
 	}
 }
 
@@ -370,17 +366,12 @@ func (p *proc) queueTuple(dest int, vals []symtab.Sym) {
 	b.count++
 }
 
-// flushTuples emits buffered tuples: a lone row goes out as an ordinary
-// Tuple, several rows as one TupleBatch carrying their concatenation.
+// flushTuples emits one tuple message per destination with buffered rows,
+// carrying their concatenation.
 func (p *proc) flushTuples() {
 	for k, b := range p.pendTups {
-		switch {
-		case b.count == 1:
-			p.send(msg.Message{Kind: msg.Tuple, To: k.dest, Vals: b.vals, Shard: k.shard})
-		case b.count > 1:
-			p.send(msg.Message{Kind: msg.TupleBatch, To: k.dest, Vals: b.vals, Count: b.count, Shard: k.shard})
-		}
 		if b.count > 0 {
+			p.send(msg.Message{Kind: msg.Tuple, To: k.dest, Vals: b.vals, Count: b.count, Shard: k.shard})
 			b.vals, b.count = nil, 0
 		}
 	}
@@ -392,24 +383,11 @@ func (p *proc) flushAll() {
 	p.flushTuples()
 }
 
-// eachBinding invokes f once per binding of a (possibly batched) tuple
-// request; width is the receiver's d-binding width.
-func eachBinding(m msg.Message, width int, f func(vals []symtab.Sym)) {
-	count := m.Count
-	if count <= 1 {
-		f(m.Vals)
-		return
-	}
-	for i := 0; i < count; i++ {
-		f(m.Vals[i*width : (i+1)*width])
-	}
-}
-
-// eachRow invokes f once per row of a Tuple or TupleBatch message; width is
-// the row width at the receiver (zero-width rows are legal: a propositional
-// batch is Count empty rows).
+// eachRow invokes f once per row of a (possibly packaged) TupReq or Tuple
+// message; width is the row width at the receiver (zero-width rows are
+// legal: a propositional batch is Count empty rows).
 func eachRow(m msg.Message, width int, f func(vals []symtab.Sym)) {
-	if m.Kind != msg.TupleBatch {
+	if m.Rows() == 1 {
 		f(m.Vals)
 		return
 	}

@@ -177,8 +177,8 @@ func (r *ruleState) handle(m msg.Message) {
 	case msg.ReqEnd:
 		r.parentReqEnd = true
 	case msg.TupReq:
-		eachBinding(m, len(r.headDPos), r.onHeadBinding)
-	case msg.Tuple, msg.TupleBatch:
+		eachRow(m, len(r.headDPos), r.onHeadBinding)
+	case msg.Tuple:
 		src := r.sourceIdx(m.From)
 		eachRow(m, len(r.subs[src].carried), func(vals []symtab.Sym) {
 			r.onSubTuple(src, vals)

@@ -66,9 +66,7 @@ func (s *schedRunner) step() bool {
 		m, _ := driverBox.Get()
 		switch m.Kind {
 		case msg.Tuple:
-			s.answers++
-		case msg.TupleBatch:
-			s.answers += m.Count
+			s.answers += m.Rows()
 		case msg.End:
 			if m.All {
 				s.done = true

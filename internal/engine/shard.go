@@ -1,10 +1,10 @@
 // Hash-partitioned node processes: Options.Partitions > 1 splits every
 // partitionable rule/goal node into P worker shards, each a goroutine with
 // a private mailbox, join state, and duplicate-elimination set for one hash
-// slice of the node's partition key. Senders route Tuple/TupleBatch
-// messages to the owning shard (msg.Message.Shard), so shards never share
-// mutable state — the paper's "no shared memory" discipline holds *inside*
-// a node exactly as it does between nodes.
+// slice of the node's partition key. Senders route Tuple messages to the
+// owning shard (msg.Message.Shard), so shards never share mutable state —
+// the paper's "no shared memory" discipline holds *inside* a node exactly
+// as it does between nodes.
 //
 // One control process per partitioned node (the ordinary proc) remains the
 // node's protocol identity: it receives everything except shard-routed
@@ -346,7 +346,7 @@ func (ps *partState) handle(m msg.Message) {
 		} else {
 			ps.customer(m.From).reqEnd = true
 		}
-	case msg.Tuple, msg.TupleBatch:
+	case msg.Tuple:
 		// Normally routed straight to a worker mailbox by the sender; a
 		// tuple reaches the control mailbox only when it raced a multi-site
 		// setup (the shard boxes were not registered yet). Re-route it.
@@ -393,11 +393,7 @@ func (ps *partState) onRelReq(m msg.Message) {
 // watermark either way.
 func (ps *partState) onTupReq(m msg.Message) {
 	if ps.spec.isRule {
-		n := m.Count
-		if n < 1 {
-			n = 1
-		}
-		ps.headReqCount += n
+		ps.headReqCount += m.Rows()
 		for _, w := range ps.workers {
 			w.box.Put(m)
 		}
@@ -409,7 +405,7 @@ func (ps *partState) onTupReq(m msg.Message) {
 	cs := ps.customer(m.From)
 	vals := make([][]symtab.Sym, len(ps.workers))
 	counts := make([]int, len(ps.workers))
-	eachBinding(m, ps.spec.dWidth, func(b []symtab.Sym) {
+	eachRow(m, ps.spec.dWidth, func(b []symtab.Sym) {
 		cs.reqCount++
 		// The binding is the d-projection of the rows it selects, in the
 		// same column order the tuple router hashes, so request and
@@ -444,12 +440,8 @@ func (ps *partState) reroute(m msg.Message) {
 		counts[s]++
 	})
 	for s, w := range ps.workers {
-		switch {
-		case counts[s] == 1:
+		if counts[s] > 0 {
 			w.box.Put(msg.Message{Kind: msg.Tuple, From: m.From, To: ps.p.id,
-				Vals: vals[s], Shard: int32(s + 1)})
-		case counts[s] > 1:
-			w.box.Put(msg.Message{Kind: msg.TupleBatch, From: m.From, To: ps.p.id,
 				Vals: vals[s], Count: counts[s], Shard: int32(s + 1)})
 		}
 	}

@@ -80,12 +80,12 @@ func TestTCPSiteKillReturnsErrSiteDown(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// EDBDelay stretches the query into the hundreds of
-			// milliseconds so the kill lands mid-flight. Deadline is a
-			// backstop only — the test asserts the kill is detected as
+			// milliseconds so the kill lands mid-flight. The context
+			// deadline is a backstop only — the test asserts the kill is detected as
 			// ErrSiteDown, far sooner.
 			opts := Options{
 				EDBDelay: 5 * time.Millisecond,
-				Deadline: 60 * time.Second,
+				Context:  within(t, 60*time.Second),
 				PeerDown: nets[i].Down(),
 			}
 			siteDB := workload.DB(workload.Program(workload.TCRules, workload.Chain("edge", 300)))

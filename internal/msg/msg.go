@@ -28,8 +28,11 @@ const (
 	// TupReq "specifies one binding for all of the d arguments" (§3.1).
 	// Vals holds the values of the d positions in position order.
 	TupReq
-	// Tuple carries one derived tuple to a successor. Vals holds the
-	// values of the carried (non-existential) positions in position order.
+	// Tuple carries derived tuples to a successor. Vals holds the values
+	// of the carried (non-existential) positions in position order; a
+	// vectorized tuple message concatenates Count rows of equal width, the
+	// tuple-side counterpart of footnote 2's packaged requests (see
+	// doc/PROTOCOL.md, "Vectorized tuple delivery").
 	Tuple
 	// End notifies a customer that requested results are complete. N is a
 	// watermark: the first N tuple requests this feeder received from the
@@ -55,12 +58,6 @@ const (
 	// Shutdown stops a node process; broadcast by the driver once the
 	// query answer is complete.
 	Shutdown
-	// TupleBatch carries Count derived tuples in one message: Vals is the
-	// concatenation of Count rows of equal width. It is the tuple-side
-	// generalization of footnote 2's packaged requests; semantically it is
-	// exactly Count consecutive Tuple messages from the same sender (see
-	// doc/PROTOCOL.md, "Vectorized tuple delivery").
-	TupleBatch
 	// Abort tells a node process to stop immediately: the query cannot
 	// complete (a site died, the deadline passed, or a node panicked) and
 	// every process should drain and exit instead of waiting for messages
@@ -111,7 +108,7 @@ func ReasonString(r uint8) string {
 
 var kindNames = [...]string{
 	"relreq", "tupreq", "tuple", "end", "reqend",
-	"endreq", "endneg", "endconf", "nudge", "shutdown", "tuplebatch",
+	"endreq", "endneg", "endconf", "nudge", "shutdown",
 	"abort", "hello", "heartbeat",
 }
 
@@ -131,11 +128,11 @@ type Message struct {
 	From int
 	To   int
 	// Vals carries d-argument bindings (TupReq) or carried-position values
-	// (Tuple). A batched tuple request (footnote 2's "packaged" requests)
-	// or a TupleBatch concatenates Count rows.
+	// (Tuple). A packaged tuple request (footnote 2) or a vectorized
+	// tuple message concatenates Count rows.
 	Vals []symtab.Sym
-	// Count is the number of rows in a batched TupReq or TupleBatch; zero
-	// or one means a single row.
+	// Count is the number of rows a TupReq or Tuple carries; zero or one
+	// means a single row.
 	Count int
 	// N is the End watermark: how many of the customer's tuple-request
 	// bindings are fully serviced.
@@ -157,22 +154,26 @@ type Message struct {
 	// on Hello and Heartbeat frames it carries the cumulative
 	// acknowledgement (highest sequence delivered so far).
 	Seq uint64
-	// Shard routes a Tuple/TupleBatch to one worker shard of a
-	// hash-partitioned node: 0 (the default) delivers to the node's control
-	// mailbox, k > 0 to worker shard k-1. Senders compute it from the FNV
-	// hash of the receiver's partition-key columns (see engine.Options.
-	// Partitions and doc/PROTOCOL.md, "Shard routing"); the final Local hop
-	// performs the fan-out, so the tag rides the TCP transport unchanged.
+	// Shard routes a Tuple to one worker shard of a hash-partitioned node:
+	// 0 (the default) delivers to the node's control mailbox, k > 0 to
+	// worker shard k-1. Senders compute it from the FNV hash of the
+	// receiver's partition-key columns (see engine.Options.Partitions and
+	// doc/PROTOCOL.md, "Shard routing"); the final Local hop performs the
+	// fan-out, so the tag rides the TCP transport unchanged.
 	Shard int32
 }
+
+// Rows returns how many rows a TupReq or Tuple carries.
+func (m Message) Rows() int { return max(m.Count, 1) }
 
 // String renders the message for traces and test failures.
 func (m Message) String() string {
 	switch m.Kind {
 	case Tuple, TupReq:
+		if m.Rows() > 1 {
+			return fmt.Sprintf("%s %d→%d rows=%d %v", m.Kind, m.From, m.To, m.Count, m.Vals)
+		}
 		return fmt.Sprintf("%s %d→%d %v", m.Kind, m.From, m.To, m.Vals)
-	case TupleBatch:
-		return fmt.Sprintf("%s %d→%d rows=%d %v", m.Kind, m.From, m.To, m.Count, m.Vals)
 	case End:
 		return fmt.Sprintf("end %d→%d n=%d all=%v", m.From, m.To, m.N, m.All)
 	case EndReq, EndNeg, EndConf:

@@ -507,15 +507,17 @@ func TestServeOverloadChaosSoak(t *testing.T) {
 			for i := range dbs {
 				dbs[i] = mpq.MustLoad(testProgram).DB
 			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			for i := 0; i < 3; i++ {
 				siteWG.Add(1)
 				go func(i int) {
 					defer siteWG.Done()
 					results[i], errs[i] = engine.RunSites(g, dbs[i], fn, local, hosts, i,
-						engine.Options{PeerDown: fn.Down(), Deadline: 30 * time.Second})
+						engine.Options{PeerDown: fn.Down(), Context: ctx})
 				}(i)
 			}
 			siteWG.Wait()
+			cancel()
 			fn.Close()
 			if errs[0] != nil {
 				if !typedChaosAbort(errs[0]) {

@@ -270,8 +270,9 @@ func (s *Server) endQuery() { s.inflight.Done() }
 // Shutdown gracefully stops the server: stop accepting, fail queued
 // admissions with ErrShuttingDown, let in-flight queries drain until ctx
 // ends, then abort the stragglers (their evaluations fail with
-// mpq.ErrCancelled) and close every connection. It returns ctx.Err() if
-// the drain deadline forced aborts, nil on a clean drain.
+// engine.ErrCancelled and context.Canceled) and close every connection.
+// It returns ctx.Err() if the drain deadline forced aborts, nil on a
+// clean drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.once.Do(func() { close(s.closed) })
 	s.mu.Lock()
@@ -578,7 +579,8 @@ func (s *Server) run(ctx context.Context, tenant, src string, emit func(tuple []
 		defer cancel()
 	}
 	// Merge the server's hard-stop signal into the request context so a
-	// drain deadline aborts the evaluation with mpq.ErrCancelled.
+	// drain deadline aborts the evaluation with engine.ErrCancelled
+	// (context.Canceled).
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	defer context.AfterFunc(s.stop, cancel)()

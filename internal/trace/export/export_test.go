@@ -236,7 +236,7 @@ func TestMetricsHandler(t *testing.T) {
 		t.Errorf("first scrape missing zero counter:\n%s", rec.Body.String())
 	}
 
-	st.TupleMsg()
+	st.TupleMsg(1)
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if !strings.Contains(rec.Body.String(), `mpq_messages_total{kind="tuple"} 1`) {

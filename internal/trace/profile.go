@@ -24,7 +24,7 @@ import (
 type NodeShard struct {
 	msgs     atomic.Int64 // basic messages sent (§3.1 vocabulary)
 	protocol atomic.Int64 // Fig 2 protocol messages sent
-	rowsOut  atomic.Int64 // rows carried by Tuple/TupleBatch sends
+	rowsOut  atomic.Int64 // rows carried by Tuple sends
 	reqRows  atomic.Int64 // bindings carried by tuple-request sends
 	handled  atomic.Int64 // messages handled (mailbox receipts)
 	derived  atomic.Int64 // head tuples derived (rule nodes)

@@ -17,9 +17,9 @@ type Stats struct {
 	relReqs    atomic.Int64
 	tupReqs    atomic.Int64
 	tupReqRows atomic.Int64 // bindings carried inside tuple-request messages
-	tuples     atomic.Int64
-	batches    atomic.Int64 // TupleBatch messages
-	tupleRows  atomic.Int64 // rows delivered, via Tuple or TupleBatch
+	tuples     atomic.Int64 // one-row tuple messages
+	batches    atomic.Int64 // multi-row tuple messages
+	tupleRows  atomic.Int64 // rows delivered by tuple messages
 	ends       atomic.Int64
 	reqEnds    atomic.Int64
 	protocol   atomic.Int64 // end request/negative/confirmed + nudges
@@ -93,9 +93,15 @@ func (s *Stats) TupReq() { s.tupReqs.Add(1) }
 func (s *Stats) TupReqRows(n int) {
 	s.tupReqRows.Add(int64(n))
 }
-func (s *Stats) TupleMsg() { s.tuples.Add(1); s.tupleRows.Add(1) }
-func (s *Stats) TupleBatchMsg(rows int) {
-	s.batches.Add(1)
+
+// TupleMsg counts one tuple message carrying rows rows: a one-row message
+// under Tuples, a multi-row (vectorized) one under TupleBatches.
+func (s *Stats) TupleMsg(rows int) {
+	if rows == 1 {
+		s.tuples.Add(1)
+	} else {
+		s.batches.Add(1)
+	}
 	s.tupleRows.Add(int64(rows))
 }
 func (s *Stats) EndMsg()             { s.ends.Add(1) }
@@ -172,7 +178,8 @@ type Snapshot struct {
 	// TupReqRows and TupleRows count the rows carried by (possibly
 	// packaged) tuple requests and (possibly batched) tuple deliveries, so
 	// message counts stay interpretable when batching collapses many rows
-	// into one message. TupleBatches counts TupleBatch messages.
+	// into one message. Tuples counts one-row tuple messages,
+	// TupleBatches multi-row ones.
 	TupReqRows, TupleBatches, TupleRows int64
 	Protocol, Rounds                    int64
 	Derived, Stored, Dups               int64
@@ -270,7 +277,7 @@ func (s *Stats) Snapshot() Snapshot {
 // tuple requests, tuples (single and batched), ends, and request-ends.
 //
 // Accounting convention for batches: a message is one transferable unit,
-// however many rows it carries. A TupleBatch of 50 rows adds 1 here (via
+// however many rows it carries. A tuple message of 50 rows adds 1 here (via
 // TupleBatches) and 50 to TupleRows; a packaged tuple request (footnote 2)
 // with 50 bindings adds 1 (via TupReqs) and 50 to TupReqRows. So Messages
 // measures traffic in channel/frame units — the quantity batching reduces —

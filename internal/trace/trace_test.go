@@ -11,7 +11,7 @@ func TestCountersAndSnapshot(t *testing.T) {
 	s.RelReq()
 	s.TupReq()
 	s.TupReq()
-	s.TupleMsg()
+	s.TupleMsg(1)
 	s.EndMsg()
 	s.ReqEndMsg()
 	s.ProtocolMsg()
@@ -46,7 +46,7 @@ func TestConcurrentIncrements(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				s.TupleMsg()
+				s.TupleMsg(1)
 				s.Joins(2)
 			}
 		}()

@@ -9,9 +9,7 @@ import (
 // Config tunes the failure-handling behavior of the TCP transport: how long
 // to keep (re)dialing an unreachable peer, how often to exchange liveness
 // heartbeats, and how reconnect attempts back off. The zero value selects
-// the defaults below (heartbeats on); use HeartbeatInterval = NoHeartbeat
-// to disable liveness traffic entirely (legacy behavior: failures surface
-// only through write errors).
+// the defaults below.
 type Config struct {
 	// DialTimeout is the total window for establishing (or re-establishing)
 	// a connection to one peer site, across all backoff retries. When it
@@ -21,10 +19,8 @@ type Config struct {
 	// HeartbeatInterval is the period of liveness frames on each site-pair
 	// connection (both directions: the dialer pings, the acceptor echoes,
 	// carrying the cumulative delivery acknowledgement that bounds the
-	// sender's replay buffer). Zero selects the default (500ms);
-	// NoHeartbeat disables heartbeats, read/write deadlines, and the
-	// sequence-and-replay machinery — legacy mode, in which a transient
-	// disconnect may silently lose frames the kernel had buffered.
+	// sender's replay buffer). Zero or negative selects the default
+	// (500ms).
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout is how long a connection may stay *silent* before
 	// it is considered dead and a reconnect is attempted. The deadline
@@ -51,10 +47,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// NoHeartbeat disables liveness traffic when assigned to
-// Config.HeartbeatInterval.
-const NoHeartbeat = time.Duration(-1)
-
 // DefaultConfig returns the default failure-handling parameters.
 func DefaultConfig() Config { return Config{}.withDefaults() }
 
@@ -62,10 +54,10 @@ func (c Config) withDefaults() Config {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 10 * time.Second
 	}
-	if c.HeartbeatInterval == 0 {
+	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 500 * time.Millisecond
 	}
-	if c.HeartbeatTimeout <= 0 && c.HeartbeatInterval > 0 {
+	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 4 * c.HeartbeatInterval
 	}
 	if c.BaseBackoff <= 0 {
@@ -79,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// heartbeatsOn reports whether liveness traffic and deadlines are enabled.
-func (c Config) heartbeatsOn() bool { return c.HeartbeatInterval > 0 }
 
 // PeerDown reports that a peer site was declared unreachable: dialing it
 // failed for the full DialTimeout window (including reconnect attempts

@@ -33,7 +33,6 @@ package mpq
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"iter"
@@ -97,7 +96,7 @@ func ParseEngine(name string) (Engine, error) {
 
 // System is a loaded program plus its extensional database.
 //
-// Concurrent Eval/EvalStream/Query calls and concurrent evaluations of one
+// Concurrent Eval/Answers/Query calls and concurrent evaluations of one
 // PreparedQuery on one System are safe. Mutation (AddFact, LoadData) is
 // internally locked against other mutation and against index warming, but
 // must not overlap with running evaluations (evaluations read the base
@@ -330,8 +329,6 @@ type config struct {
 	batch        bool
 	trace        io.Writer
 	ctx          context.Context
-	deadline     time.Duration
-	cancel       <-chan struct{}
 	profile      *trace.Profile
 	events       *trace.EventLog
 	partitions   int
@@ -416,92 +413,18 @@ func WithEDBDelay(d time.Duration) Option { return func(c *config) { c.edbDelay 
 // ctx is cancelled or its deadline expires, the engine aborts every node
 // process and the evaluation returns an error satisfying errors.Is for both
 // taxonomies — engine.ErrCancelled/engine.ErrDeadline and
-// context.Canceled/context.DeadlineExceeded. This is the primary
-// cancellation mechanism; WithDeadline and WithCancel are shims over it.
+// context.Canceled/context.DeadlineExceeded. It is how the entry points
+// that take no context argument (Eval, Answers) are cancelled; Query and
+// the PreparedQuery methods take the context directly. Unlike a streaming
+// early break (which stops cleanly with partial answers), cancellation is
+// the emergency stop usable from any goroutine.
 func WithContext(ctx context.Context) Option { return func(c *config) { c.ctx = ctx } }
 
-// WithDeadline bounds a MessagePassing evaluation in wall-clock time: a
-// shim over WithContext that derives a context expiring after d. When it
-// expires, Eval returns an error satisfying errors.Is(err,
-// engine.ErrDeadline) and errors.Is(err, context.DeadlineExceeded) instead
-// of running (or hanging) forever. Composes with WithContext: the earlier
-// of the two deadlines wins.
-func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline = d } }
-
-// WithCancel aborts a MessagePassing evaluation when ch is closed — a shim
-// over WithContext for callers holding a channel rather than a context; the
-// returned error satisfies errors.Is for engine.ErrCancelled and
-// context.Canceled. Unlike a streaming yield-false (which stops cleanly
-// with partial answers), this is the emergency stop usable from any
-// goroutine.
-func WithCancel(ch <-chan struct{}) Option { return func(c *config) { c.cancel = ch } }
-
-// evalContext derives the single context governing one evaluation from the
-// WithContext/WithDeadline/WithCancel options. The returned cancel must be
-// called when the evaluation finishes (it releases the deadline timer and
-// the channel-watching shim goroutine).
-func (c *config) evalContext() (context.Context, context.CancelFunc) {
-	ctx := c.ctx
-	if ctx == nil {
-		if c.deadline <= 0 && c.cancel == nil {
-			return context.Background(), func() {}
-		}
-		ctx = context.Background()
-	}
-	var cancel context.CancelFunc
-	if c.deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, c.deadline)
-	} else if c.cancel != nil {
-		ctx, cancel = context.WithCancel(ctx)
-	} else {
-		return ctx, func() {}
-	}
-	if ch := c.cancel; ch != nil {
-		go func() {
-			select {
-			case <-ch:
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
-	}
-	return ctx, cancel
-}
-
-// engineOptions assembles the engine's option set for this configuration,
-// wiring the derived context in as the engine's cancel signal (the
-// context's own timer enforces any deadline, so engine.Options.Deadline
-// stays unset).
-func (c *config) engineOptions(ctx context.Context) engine.Options {
+// engineOptions assembles the engine's option set for this configuration.
+func (c *config) engineOptions() engine.Options {
 	return engine.Options{Stats: c.stats, Batch: c.batch, Trace: c.trace,
-		Cancel: ctx.Done(), Profile: c.profile, Events: c.events,
+		Context: c.ctx, Profile: c.profile, Events: c.events,
 		Partitions: c.partitions, EDBDelay: c.edbDelay}
-}
-
-// ctxDone returns the context's cancellation channel, tolerating nil (the
-// prepared-query entry points accept a nil context as context.Background).
-func ctxDone(ctx context.Context) <-chan struct{} {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Done()
-}
-
-// engineError classifies an engine abort caused by the evaluation's
-// context: the engine only sees a closed cancel channel (ErrCancelled), so
-// when the context reports why, the error is rewritten to satisfy
-// errors.Is for both the engine sentinel and the context sentinel.
-func engineError(err error, ctx context.Context) error {
-	if err == nil || ctx == nil || !errors.Is(err, engine.ErrCancelled) {
-		return err
-	}
-	switch ctx.Err() {
-	case context.DeadlineExceeded:
-		return fmt.Errorf("%w (%w)", engine.ErrDeadline, context.DeadlineExceeded)
-	case context.Canceled:
-		return fmt.Errorf("%w (%w)", engine.ErrCancelled, context.Canceled)
-	}
-	return err
 }
 
 // WithProfile collects per-node execution counters into p (messages, rows,
@@ -545,11 +468,9 @@ func (s *System) Eval(opts ...Option) (*Answer, error) {
 			return nil, err
 		}
 		s.ensureWarmFor(g)
-		ctx, cancel := cfg.evalContext()
-		defer cancel()
-		res, err := engine.Run(g, s.DB, cfg.engineOptions(ctx))
+		res, err := engine.Run(g, s.DB, cfg.engineOptions())
 		if err != nil {
-			return nil, engineError(err, ctx)
+			return nil, err
 		}
 		return &Answer{Engine: cfg.engine, Tuples: render(res.Answers, s.DB), Stats: res.Stats}, nil
 	case SemiNaive:
@@ -602,64 +523,52 @@ func (s *System) Explain(pred string, args ...string) (*bottomup.Proof, bool) {
 //	}
 func (s *System) Answers(opts ...Option) iter.Seq2[[]string, error] {
 	return func(yield func([]string, error) bool) {
+		cfg := config{}
+		for _, o := range opts {
+			o(&cfg)
+		}
+		if cfg.engine != MessagePassing {
+			yield(nil, fmt.Errorf("mpq: Answers supports only the message-passing engine"))
+			return
+		}
+		g, _, err := s.buildGraph(s.Program, nil, &cfg)
+		if err != nil {
+			yield(nil, err)
+			return
+		}
+		s.ensureWarmFor(g)
 		stopped := false
-		_, err := s.EvalStream(func(t []string) bool {
-			if !yield(t, nil) {
+		_, err = engine.RunStream(g, s.DB, cfg.engineOptions(), func(t relation.Tuple) bool {
+			row := make([]string, len(t))
+			for i, sym := range t {
+				row[i] = s.DB.Syms.String(sym)
+			}
+			if !yield(row, nil) {
 				stopped = true
 				return false
 			}
 			return true
-		}, opts...)
+		})
 		if err != nil && !stopped {
 			yield(nil, err)
 		}
 	}
 }
 
-// EvalStream is the pre-iterator streaming interface, kept as a
-// compatibility wrapper: it evaluates with the message-passing engine,
-// invoking yield for every answer as it is derived; returning false from
-// yield cancels the evaluation early. The returned snapshot covers
-// whatever work ran. New code should prefer Answers (range-over-func) or,
-// for repeated parameterized queries, Prepare/Query.
-func (s *System) EvalStream(yield func(tuple []string) bool, opts ...Option) (trace.Snapshot, error) {
-	cfg := config{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.engine != MessagePassing {
-		return trace.Snapshot{}, fmt.Errorf("mpq: EvalStream supports only the message-passing engine")
-	}
-	g, _, err := s.buildGraph(s.Program, nil, &cfg)
-	if err != nil {
-		return trace.Snapshot{}, err
-	}
-	s.ensureWarmFor(g)
-	ctx, cancel := cfg.evalContext()
-	defer cancel()
-	res, err := engine.RunStream(g, s.DB, cfg.engineOptions(ctx),
-		func(t relation.Tuple) bool {
-			row := make([]string, len(t))
-			for i, sym := range t {
-				row[i] = s.DB.Syms.String(sym)
-			}
-			return yield(row)
-		})
-	if err != nil {
-		return trace.Snapshot{}, engineError(err, ctx)
-	}
-	return res.Stats, nil
-}
-
 // Graph compiles and returns the information-passing rule/goal graph for
 // the system's query, for inspection (Text, DOT) or for driving the engine
 // package directly (e.g. distributed evaluation with engine.RunSites).
+// It compiles a snapshot of the program taken under the mutation lock, so
+// it may run concurrently with AddFact.
 func (s *System) Graph(opts ...Option) (*rgg.Graph, error) {
 	cfg := config{}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	g, _, err := s.buildGraph(s.Program, nil, &cfg)
+	s.mu.Lock()
+	prog := *s.Program
+	s.mu.Unlock()
+	g, _, err := s.buildGraph(&prog, nil, &cfg)
 	return g, err
 }
 

@@ -217,15 +217,15 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestEvalStream streams every answer through System.Answers.
 func TestEvalStream(t *testing.T) {
 	sys := MustLoad(tcProgram)
 	var got [][]string
-	_, err := sys.EvalStream(func(t []string) bool {
-		got = append(got, append([]string(nil), t...))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+	for tup, err := range sys.Answers() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, tup)
 	}
 	if len(got) != 3 {
 		t.Errorf("streamed %d answers, want 3: %v", len(got), got)
@@ -233,7 +233,7 @@ func TestEvalStream(t *testing.T) {
 }
 
 func TestEvalStreamCancel(t *testing.T) {
-	// A large chain; cancel after the first answer. The evaluation must
+	// A large chain; break out of Answers after the first answer. The evaluation must
 	// stop promptly and cleanly.
 	src := ""
 	for i := 0; i < 200; i++ {
@@ -246,25 +246,26 @@ func TestEvalStreamCancel(t *testing.T) {
 	`
 	sys := MustLoad(src)
 	count := 0
-	st, err := sys.EvalStream(func(t []string) bool {
+	var stats trace.Stats
+	for _, err := range sys.Answers(WithStats(&stats)) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		count++
-		return false
-	})
-	if err != nil {
-		t.Fatal(err)
+		break
 	}
 	if count != 1 {
 		t.Errorf("yield called %d times after cancel", count)
 	}
-	if st.Stored >= 200 {
+	if st := stats.Snapshot(); st.Stored >= 200 {
 		t.Errorf("cancellation did not stop the engine early: %d tuples stored", st.Stored)
 	}
 }
 
 func TestEvalStreamRejectsOtherEngines(t *testing.T) {
 	sys := MustLoad(tcProgram)
-	if _, err := sys.EvalStream(func([]string) bool { return true }, WithEngine(SemiNaive)); err == nil {
-		t.Error("EvalStream accepted a bottom-up engine")
+	if err := lastErr(sys.Answers(WithEngine(SemiNaive))); err == nil {
+		t.Error("Answers accepted a bottom-up engine")
 	}
 }
 

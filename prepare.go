@@ -39,8 +39,8 @@ type PreparedQuery struct {
 	plan     *engine.Plan
 	strategy string
 	shape    string
-	defaults []string     // source-text constants: the bindings Eval() uses with no args
-	nout     int          // answer columns (parameters are projected away)
+	defaults []string // source-text constants: the bindings Eval() uses with no args
+	nout     int      // answer columns (parameters are projected away)
 	batch    bool
 	// partitions is the WithPartitions setting the plan serves. It is part
 	// of the plan-cache key: engine.Plan pools per-run scratch whose worker
@@ -310,9 +310,9 @@ func (pq *PreparedQuery) evalWith(ctx context.Context, args []string, stats *tra
 		return nil, err
 	}
 	res, err := pq.plan.Run(engine.Options{Stats: stats, Batch: batch, Bind: bind,
-		Cancel: ctxDone(ctx), Partitions: pq.partitions, EDBDelay: pq.edbDelay})
+		Context: ctx, Partitions: pq.partitions, EDBDelay: pq.edbDelay})
 	if err != nil {
-		return nil, engineError(err, ctx)
+		return nil, err
 	}
 	// Project the parameter columns away (they are single-valued per run,
 	// so distinctness is preserved) and render exactly like Eval.
@@ -341,7 +341,7 @@ func (pq *PreparedQuery) Answers(ctx context.Context, args ...string) iter.Seq2[
 		}
 		stopped := false
 		_, err = pq.plan.RunStream(engine.Options{Stats: pq.stats, Batch: pq.batch, Bind: bind,
-			Cancel: ctxDone(ctx), Partitions: pq.partitions, EDBDelay: pq.edbDelay},
+			Context: ctx, Partitions: pq.partitions, EDBDelay: pq.edbDelay},
 			func(t relation.Tuple) bool {
 				row := make([]string, pq.nout)
 				for i := 0; i < pq.nout; i++ {
@@ -354,7 +354,7 @@ func (pq *PreparedQuery) Answers(ctx context.Context, args ...string) iter.Seq2[
 				return true
 			})
 		if err != nil && !stopped {
-			yield(nil, engineError(err, ctx))
+			yield(nil, err)
 		}
 	}
 }
@@ -548,12 +548,10 @@ func (s *System) Query(ctx context.Context, src string, opts ...Option) (*Answer
 	if err != nil {
 		return nil, err
 	}
-	if ctx != nil {
-		cfg.ctx = ctx
+	if ctx == nil {
+		ctx = cfg.ctx
 	}
-	ectx, cancel := cfg.evalContext()
-	defer cancel()
-	tuples, err := pq.evalWith(ectx, args, stats, cfg.batch)
+	tuples, err := pq.evalWith(ctx, args, stats, cfg.batch)
 	if err != nil {
 		return nil, err
 	}

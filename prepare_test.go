@@ -275,9 +275,9 @@ func TestQueryContextCancellation(t *testing.T) {
 	}
 }
 
-// TestEvalContextOption covers the context-first satellites on the classic
-// path: WithContext cancellation maps onto both error taxonomies, and the
-// WithDeadline/WithCancel shims still work routed through a context.
+// TestEvalContextOption covers WithContext on the classic path: a
+// cancelled context and an expired deadline each map onto both error
+// taxonomies.
 func TestEvalContextOption(t *testing.T) {
 	sys := MustLoad(prepBase)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -287,12 +287,12 @@ func TestEvalContextOption(t *testing.T) {
 	} else if !errors.Is(err, context.Canceled) || !errors.Is(err, engine.ErrCancelled) {
 		t.Errorf("WithContext error %v missing a sentinel", err)
 	}
-	ch := make(chan struct{})
-	close(ch)
-	if _, err := sys.Eval(WithCancel(ch)); err == nil {
-		t.Error("closed cancel channel: Eval succeeded")
-	} else if !errors.Is(err, context.Canceled) || !errors.Is(err, engine.ErrCancelled) {
-		t.Errorf("WithCancel error %v missing a sentinel", err)
+	dctx, dcancel := context.WithTimeout(context.Background(), -time.Second)
+	defer dcancel()
+	if _, err := sys.Eval(WithContext(dctx)); err == nil {
+		t.Error("expired context: Eval succeeded")
+	} else if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, engine.ErrDeadline) {
+		t.Errorf("WithContext deadline error %v missing a sentinel", err)
 	}
 }
 

@@ -26,13 +26,14 @@ import (
 // Each delta round briefly holds the System's mutation lock, so rounds
 // never overlap AddFact/LoadData.
 type Subscription struct {
-	pq    *PreparedQuery
-	args  []string
-	bind  []symtab.Sym
-	inc   *engine.Incremental
-	mu    sync.Mutex // guards one-goroutine misuse cheaply
-	seen  uint64     // EDB version already folded into delivered rounds
-	first bool       // true until the initial full round has run
+	pq     *PreparedQuery
+	args   []string
+	bind   []symtab.Sym
+	inc    *engine.Incremental
+	mu     sync.Mutex // guards one-goroutine misuse cheaply
+	seen   uint64     // EDB version already folded into delivered rounds
+	first  bool       // true until the initial full round has run
+	broken bool       // a Next failed: every later Next fails too
 }
 
 // Subscription creates a live view with args bound to the query's
@@ -57,10 +58,16 @@ func (pq *PreparedQuery) Subscription(args ...string) (*Subscription, error) {
 // blocking until a mutation yields at least one. Rows are rendered and
 // sorted like Eval's, so each batch is deterministic for a given EDB
 // state. A nil ctx never times out. After any error the Subscription is
-// broken and every later Next fails.
+// broken and every later Next fails with engine.ErrIncrementalBroken.
 func (sub *Subscription) Next(ctx context.Context) ([][]string, error) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
+	if sub.broken {
+		return nil, engine.ErrIncrementalBroken
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	sys := sub.pq.sys
 	for {
 		// Obtain the wake channel BEFORE reading the version: a mutation
@@ -86,6 +93,7 @@ func (sub *Subscription) Next(ctx context.Context) ([][]string, error) {
 		if run {
 			rows, err := sub.round(ctx)
 			if err != nil {
+				sub.broken = true
 				return nil, err
 			}
 			first := sub.first
@@ -97,8 +105,9 @@ func (sub *Subscription) Next(ctx context.Context) ([][]string, error) {
 		}
 		select {
 		case <-wake:
-		case <-ctxDone(ctx):
-			return nil, engineError(engine.ErrCancelled, ctx)
+		case <-ctx.Done():
+			sub.broken = true
+			return nil, engine.ContextError(ctx.Err())
 		}
 	}
 }
@@ -111,7 +120,7 @@ func (sub *Subscription) round(ctx context.Context) ([][]string, error) {
 	sys.mu.Lock()
 	sub.seen = sys.DB.Version()
 	var rows [][]string
-	_, err := sub.inc.Round(ctxDone(ctx), func(t relation.Tuple) bool {
+	_, err := sub.inc.Round(ctx, func(t relation.Tuple) bool {
 		row := make([]string, sub.pq.nout)
 		for i := 0; i < sub.pq.nout; i++ {
 			row[i] = sys.DB.Syms.String(t[i])
@@ -121,7 +130,7 @@ func (sub *Subscription) round(ctx context.Context) ([][]string, error) {
 	})
 	sys.mu.Unlock()
 	if err != nil {
-		return nil, engineError(err, ctx)
+		return nil, err
 	}
 	sortTuples(rows)
 	return rows, nil
