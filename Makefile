@@ -32,5 +32,8 @@ docs:
 gate:
 	./scripts/check.sh gate
 
+# Experiment benchmarks (E1-E11, substrates), then the engine's
+# recursive-mix point queries on pooled plans.
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1s .
+	$(GO) test -run '^$$' -bench PlanRunMix -benchmem ./internal/engine/

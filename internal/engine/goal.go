@@ -29,9 +29,16 @@ type goalState struct {
 	customers map[int]*customerState
 
 	relReqForwarded bool
-	reqSeen         map[string]bool // d-bindings already forwarded/serviced
+	reqSeen         *relation.Relation // d-bindings already forwarded/serviced
 	answers         *relation.Relation
-	byDKey          map[string][]relation.Tuple
+
+	// Scratch reused across handler calls; see onTupReq, onTuple and
+	// serviceEDB.
+	dBuf     relation.Tuple
+	dSel     relation.Binding
+	rows     []relation.Tuple
+	binding  relation.Binding
+	carryBuf relation.Tuple
 
 	// EDB leaves.
 	isEDB bool
@@ -39,9 +46,9 @@ type goalState struct {
 	// a private relation holding exactly this leaf's hash slice of the base
 	// relation. Plain leaves leave it nil and scan the store directly, so a
 	// predicate with no facts at plan time picks up rows as they arrive.
-	edbRel   *relation.Relation
-	consts   relation.Binding // constant positions, pre-interned
-	varPoses map[string][]int // variable → its argument positions
+	edbRel  *relation.Relation
+	consts  relation.Binding // constant positions, pre-interned
+	repeats [][]int          // positions of each variable occurring twice or more
 	// seenBase is the base-relation cardinality this leaf has absorbed:
 	// ordinals [seenBase:] are the next delta window (Incremental rounds),
 	// streamed from the store with ScanSince.
@@ -61,7 +68,7 @@ type goalState struct {
 type customerState struct {
 	id         int
 	registered bool
-	reqs       map[string]bool
+	reqs       *relation.Relation // nil at a partitioned node's control process
 	reqCount   int
 	reqEnd     bool
 	// deltaEnded latches this round's drain End (see feedState.drained);
@@ -76,12 +83,14 @@ func newGoalState(p *proc) *goalState {
 		dPos:      dynamicPositions(n.Ad),
 		carried:   carriedPositions(n.Ad),
 		customers: make(map[int]*customerState),
-		reqSeen:   make(map[string]bool),
-		byDKey:    make(map[string][]relation.Tuple),
 		cycleTo:   n.CycleTo,
 		isEDB:     n.EDB,
 	}
 	g.answers = relation.New(len(g.carried))
+	g.reqSeen = relation.New(len(g.dPos))
+	g.dBuf = make(relation.Tuple, len(g.dPos))
+	g.dSel = make(relation.Binding, len(g.carried))
+	g.carryBuf = make(relation.Tuple, len(g.carried))
 	idx := make(map[int]int, len(g.carried))
 	for i, pos := range g.carried {
 		idx[pos] = i
@@ -109,22 +118,41 @@ func newGoalState(p *proc) *goalState {
 			g.edbRel = slice
 		}
 		g.consts = make(relation.Binding, len(n.Atom.Args))
-		g.varPoses = make(map[string][]int)
+		poses := make(map[string][]int) // variable → its argument positions
 		for i, t := range n.Atom.Args {
 			if t.IsVar() {
-				g.varPoses[t.Var] = append(g.varPoses[t.Var], i)
+				poses[t.Var] = append(poses[t.Var], i)
 			} else {
 				g.consts[i] = p.rt.db.Symbols().Intern(t.Const)
 			}
 		}
+		for _, ps := range poses {
+			if len(ps) > 1 {
+				g.repeats = append(g.repeats, ps)
+			}
+		}
+		g.binding = make(relation.Binding, len(n.Atom.Args))
 	}
 	return g
+}
+
+// repeatsAgree reports whether an EDB row agrees on every repeated
+// variable of the leaf's atom.
+func (g *goalState) repeatsAgree(row relation.Tuple) bool {
+	for _, poses := range g.repeats {
+		for _, pos := range poses[1:] {
+			if row[pos] != row[poses[0]] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (g *goalState) customer(id int) *customerState {
 	cs, ok := g.customers[id]
 	if !ok {
-		cs = &customerState{id: id, reqs: make(map[string]bool)}
+		cs = &customerState{id: id, reqs: relation.New(len(g.dPos))}
 		g.customers[id] = cs
 	}
 	return cs
@@ -200,17 +228,21 @@ func (g *goalState) onRelReq(m msg.Message) {
 func (g *goalState) onTupReq(from int, vals []symtab.Sym) {
 	cs := g.customer(from)
 	cs.reqCount++
-	key := relation.Tuple(vals).Key()
-	if !cs.reqs[key] {
-		cs.reqs[key] = true
-		for _, t := range g.byDKey[key] {
+	if cs.reqs.Insert(vals) {
+		// Replay the stored answers under this binding: a selection on the
+		// d columns, through an index the answers relation maintains on
+		// every insert.
+		for i, k := range g.dIdx {
+			g.dSel[k] = vals[i]
+		}
+		g.rows = g.answers.AppendSelect(g.rows[:0], g.dSel)
+		for _, t := range g.rows {
 			g.p.queueTuple(cs.id, t)
 		}
 	}
-	if g.reqSeen[key] {
+	if !g.reqSeen.Insert(vals) {
 		return
 	}
-	g.reqSeen[key] = true
 	switch {
 	case g.cycleTo != rgg.NoNode:
 		g.p.queueTupReq(g.cycleTo, vals)
@@ -237,27 +269,18 @@ func (g *goalState) onTuple(vals []symtab.Sym) {
 		return
 	}
 	g.p.statStored()
-	stored := g.answers.Rows()[g.answers.Len()-1] // the engine-owned copy
-	key := g.dKey(stored)
-	g.byDKey[key] = append(g.byDKey[key], stored)
+	stored := lastRow(g.answers) // the engine-owned copy
+	for i, k := range g.dIdx {
+		g.dBuf[i] = stored[k]
+	}
 	for _, cs := range g.customers {
 		if !cs.registered {
 			continue
 		}
-		if len(g.dPos) == 0 || cs.reqs[key] {
+		if len(g.dPos) == 0 || cs.reqs.Contains(g.dBuf) {
 			g.p.queueTuple(cs.id, stored)
 		}
 	}
-}
-
-// dKey extracts the d-position values of a carried tuple; it equals the
-// Key of the tuple request that asked for it.
-func (g *goalState) dKey(t relation.Tuple) string {
-	vals := make(relation.Tuple, len(g.dIdx))
-	for i, k := range g.dIdx {
-		vals[i] = t[k]
-	}
-	return vals.Key()
 }
 
 // serviceEDB answers one tuple request (or the implicit request when vals
@@ -266,7 +289,7 @@ func (g *goalState) dKey(t relation.Tuple) string {
 // carried positions drops existential values.
 func (g *goalState) serviceEDB(vals []symtab.Sym) {
 	atom := g.p.node.Atom
-	binding := make(relation.Binding, len(atom.Args))
+	binding := g.binding
 	copy(binding, g.consts)
 	for i, pos := range g.dPos {
 		if binding[pos] != symtab.NoSym && binding[pos] != vals[i] {
@@ -278,34 +301,35 @@ func (g *goalState) serviceEDB(vals []symtab.Sym) {
 	if d := g.p.rt.edbDelay; d > 0 {
 		time.Sleep(d) // simulated retrieval latency (see Options.EDBDelay)
 	}
-	buf := make(relation.Tuple, len(g.carried))
 	matched := 0
-	emit := func(row relation.Tuple) {
-		matched++
-		for _, poses := range g.varPoses {
-			for _, pos := range poses[1:] {
-				if row[pos] != row[poses[0]] {
-					return // repeated variable mismatch
-				}
-			}
-		}
-		for i, pos := range g.carried {
-			buf[i] = row[pos]
-		}
-		// Dedup through the answer store (projection may collapse rows
-		// that differ only existentially), then stream to the customer.
-		g.onTuple(buf)
-	}
 	if g.edbRel != nil {
-		for _, row := range g.edbRel.Select(binding) {
-			emit(row)
+		g.rows = g.edbRel.AppendSelect(g.rows[:0], binding)
+		matched = len(g.rows)
+		for _, row := range g.rows {
+			if g.repeatsAgree(row) {
+				g.deliverEDB(row)
+			}
 		}
 	} else {
 		for row := range g.p.rt.db.Scan(atom.Key(), binding) {
-			emit(row)
+			matched++
+			if g.repeatsAgree(row) {
+				g.deliverEDB(row)
+			}
 		}
 	}
 	g.p.statEDBTuples(matched)
+}
+
+// deliverEDB projects a selected base row onto the carried positions and
+// folds it into the answer store, which dedups (the projection may
+// collapse rows that differ only existentially) and streams it to the
+// customers.
+func (g *goalState) deliverEDB(row relation.Tuple) {
+	for i, pos := range g.carried {
+		g.carryBuf[i] = row[pos]
+	}
+	g.onTuple(g.carryBuf)
 }
 
 // serviceEDBDelta seeds one delta round at an EDB leaf: the base-relation
@@ -372,11 +396,6 @@ func (g *goalState) serviceEDBDelta() {
 	}
 	sliced := g.edbRel != nil
 	owned, seeded := 0, 0
-	buf := make(relation.Tuple, len(g.carried))
-	var dVals relation.Tuple
-	if len(g.dPos) > 0 {
-		dVals = make(relation.Tuple, len(g.dPos))
-	}
 window:
 	for row := range g.p.rt.db.ScanSince(n.Atom.Key(), from) {
 		if !g.ownsRow(row) {
@@ -391,26 +410,19 @@ window:
 				continue window
 			}
 		}
-		for _, poses := range g.varPoses {
-			for _, pos := range poses[1:] {
-				if row[pos] != row[poses[0]] {
-					continue window
-				}
-			}
+		if !g.repeatsAgree(row) {
+			continue
 		}
 		if len(g.dPos) > 0 {
 			for i, pos := range g.dPos {
-				dVals[i] = row[pos]
+				g.dBuf[i] = row[pos]
 			}
-			if !g.reqSeen[dVals.Key()] {
+			if !g.reqSeen.Contains(g.dBuf) {
 				continue
 			}
 		}
 		seeded++
-		for i, pos := range g.carried {
-			buf[i] = row[pos]
-		}
-		g.onTuple(buf)
+		g.deliverEDB(row)
 	}
 	g.p.statEDBTuples(owned)
 	g.p.rt.stats.DeltaSeeded(int64(seeded))

@@ -131,7 +131,7 @@ func (inc *Incremental) Round(ctx context.Context, yield func(relation.Tuple) bo
 //   ------------------------------          --------------------------
 //   feedState.sent / acked                  feedState.allEnd
 //   customer registered / reqs / reqCount   customer reqEnd
-//   goal reqSeen / answers / byDKey         relReqForwarded
+//   goal reqSeen / answers                  relReqForwarded
 //   rule hb / sentHeads / subs[i].rel       relReqReceived / parentReqEnd
 //     / sentReqs / headReqCount             allSent
 //   lastWatermark                           Fig 2 state, mailboxes, batches
@@ -145,28 +145,11 @@ func (inc *Incremental) Round(ctx context.Context, yield func(relation.Tuple) bo
 // re-swept relation request re-triggers once the round settles.
 
 func (p *proc) deltaReset(rt *runner) {
-	p.rt = rt
-	p.shard = nil
-	if rt.prof != nil {
-		if p.wk != nil {
-			p.shard = rt.prof.WorkerShard(p.id, p.wk.idx, p.wk.ps.spec.n)
-		} else {
-			p.shard = rt.prof.Shard(p.id)
-		}
-	}
+	p.rebind(rt)
 	for _, f := range p.feeds {
 		f.allEnd = false // sent/acked stay: cumulative across rounds
 		f.drained = false
 	}
-	p.idleness, p.round, p.waitingFor = 0, 0, 0
-	p.anyNeg, p.inRound, p.confirmed = false, false, false
-	for _, b := range p.pending {
-		b.vals, b.count = nil, 0
-	}
-	for _, b := range p.pendTups {
-		b.vals, b.count = nil, 0
-	}
-	p.box.Reset()
 	switch {
 	case p.part != nil:
 		p.part.deltaReset(rt)
@@ -200,7 +183,7 @@ func (g *goalState) deltaReset() {
 		cs.deltaEnded = false
 	}
 	g.relReqForwarded = false
-	// reqSeen, answers, byDKey, lastWatermark stay: the memo state.
+	// reqSeen, answers, lastWatermark stay: the memo state.
 	g.allSent = false
 }
 

@@ -129,28 +129,11 @@ func (pl *Plan) get(partitions int) (s *scratch, reused bool) {
 // owns the state).
 
 func (p *proc) reset(rt *runner) {
-	p.rt = rt
-	p.shard = nil
-	if rt.prof != nil {
-		if p.wk != nil {
-			p.shard = rt.prof.WorkerShard(p.id, p.wk.idx, p.wk.ps.spec.n)
-		} else {
-			p.shard = rt.prof.Shard(p.id)
-		}
-	}
+	p.rebind(rt)
 	for _, f := range p.feeds {
 		f.sent.Store(0)
 		f.acked, f.allEnd = 0, false
 	}
-	p.idleness, p.round, p.waitingFor = 0, 0, 0
-	p.anyNeg, p.inRound, p.confirmed = false, false, false
-	for _, b := range p.pending {
-		b.vals, b.count = nil, 0
-	}
-	for _, b := range p.pendTups {
-		b.vals, b.count = nil, 0
-	}
-	p.box.Reset()
 	switch {
 	case p.part != nil:
 		p.part.reset(rt)
@@ -161,16 +144,37 @@ func (p *proc) reset(rt *runner) {
 	}
 }
 
+// rebind attaches the process to the next run's runner and profile shard
+// and clears the state no run carries over, under either reset: Fig 2
+// protocol state, batching buffers, and the mailbox.
+func (p *proc) rebind(rt *runner) {
+	p.rt = rt
+	p.shard = nil
+	if rt.prof != nil {
+		if p.wk != nil {
+			p.shard = rt.prof.WorkerShard(p.id, p.wk.idx, p.wk.ps.spec.n)
+		} else {
+			p.shard = rt.prof.Shard(p.id)
+		}
+	}
+	p.idleness, p.round, p.waitingFor = 0, 0, 0
+	p.anyNeg, p.inRound, p.confirmed = false, false, false
+	for _, b := range p.pending {
+		b.vals, b.count = nil, 0
+	}
+	for _, b := range p.pendTups {
+		b.vals, b.count = nil, 0
+	}
+	p.box.Reset()
+}
+
 // reset returns a partitioned node's control state and worker procs to
 // their just-constructed state. The workers share p.feeds with the control
 // proc, so their reset re-clears those counters — harmless, since reset
 // runs strictly between evaluations.
 func (ps *partState) reset(rt *runner) {
 	for _, cs := range ps.customers {
-		cs.registered = false
-		clear(cs.reqs)
-		cs.reqCount = 0
-		cs.reqEnd = false
+		cs.reset()
 	}
 	ps.relReqReceived = false
 	ps.parentReqEnd = false
@@ -186,18 +190,14 @@ func (ps *partState) reset(rt *runner) {
 
 func (g *goalState) reset() {
 	for _, cs := range g.customers {
-		cs.registered = false
-		clear(cs.reqs)
-		cs.reqCount = 0
-		cs.reqEnd = false
+		cs.reset()
 	}
 	g.relReqForwarded = false
-	clear(g.reqSeen)
+	g.reqSeen.Reset()
 	g.answers.Reset()
-	clear(g.byDKey)
 	g.lastWatermark = 0
 	g.allSent = false
-	// isEDB wiring (edbRel, consts, varPoses) is graph+db-scoped, not
+	// isEDB wiring (edbRel, consts, repeats) is graph+db-scoped, not
 	// run-scoped: a Plan binds exactly one database, so it stays — but a
 	// leaf holding a private slice of the base relation (shard and worker
 	// leaves, or a predicate that had no facts when the plan was built)
@@ -208,12 +208,21 @@ func (g *goalState) reset() {
 	}
 }
 
+func (cs *customerState) reset() {
+	cs.registered = false
+	if cs.reqs != nil {
+		cs.reqs.Reset()
+	}
+	cs.reqCount = 0
+	cs.reqEnd = false
+}
+
 func (r *ruleState) reset() {
 	r.hb.Reset()
-	clear(r.sentHeads)
+	r.sentHeads.Reset()
 	for _, s := range r.subs {
 		s.rel.Reset()
-		clear(s.sentReqs)
+		s.sentReqs.Reset()
 	}
 	r.relReqReceived = false
 	r.parentReqEnd = false

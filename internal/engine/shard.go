@@ -325,7 +325,7 @@ func (ps *partState) workNow() int64 {
 func (ps *partState) customer(id int) *customerState {
 	cs, ok := ps.customers[id]
 	if !ok {
-		cs = &customerState{id: id, reqs: make(map[string]bool)}
+		cs = &customerState{id: id}
 		ps.customers[id] = cs
 	}
 	return cs

@@ -113,7 +113,7 @@ func HashTupleAt(vals []symtab.Sym, pos []int) uint64 {
 // of non-candidates).
 const maxIndexCols = 8
 
-// colsKey packs an index's column list (each < 255) into the map key that
+// colsKey packs an index's column list (each < 255) into the key that
 // identifies it, without allocating.
 func colsKey(cols []int) uint64 {
 	k := uint64(0)
@@ -123,16 +123,22 @@ func colsKey(cols []int) uint64 {
 	return k
 }
 
-// index is a hash index over a fixed column list: value key → ordinals of
-// the rows holding those values. Single-column indexes use the symbol
-// itself as the key, so their key count is an exact distinct count;
-// composite indexes use an FNV-1a hash of the column values (probes verify
-// the actual equalities, so collisions cost comparisons, never wrong
-// answers).
+// index is a hash index over a fixed column list: value key → the chain of
+// ordinals of the rows holding those values, in insertion order, threaded
+// through next (so inserts allocate only when the map or next grows).
+// Single-column indexes use the symbol itself as the key, so their key
+// count is an exact distinct count; composite indexes use an FNV-1a hash
+// of the column values (probes verify the actual equalities, so
+// collisions cost comparisons, never wrong answers).
 type index struct {
+	key  uint64 // colsKey(cols)
 	cols []int
-	m    map[uint64][]int32
+	m    map[uint64]chain
+	next []int32 // next[ord] is the ordinal after ord on its chain, or -1
 }
+
+// chain is the first and last row ordinal holding one index key.
+type chain struct{ first, last int32 }
 
 func (ix *index) rowKey(row Tuple) uint64 {
 	if len(ix.cols) == 1 {
@@ -145,18 +151,29 @@ func (ix *index) rowKey(row Tuple) uint64 {
 	return h
 }
 
-// probe returns the candidate row ordinals for the given values of the
-// indexed columns (in index-column order).
-func (ix *index) probe(vals []symtab.Sym) []int32 {
-	if len(ix.cols) == 1 {
-		return ix.m[uint64(uint32(vals[0]))]
+// probe returns the first candidate row ordinal for the given values of
+// the indexed columns (in index-column order), or -1 when there is none;
+// next continues the chain.
+func (ix *index) probe(vals []symtab.Sym) int32 {
+	k := uint64(uint32(vals[0]))
+	if len(ix.cols) > 1 {
+		k = hashSyms(vals)
 	}
-	return ix.m[hashSyms(vals)]
+	if c, ok := ix.m[k]; ok {
+		return c.first
+	}
+	return -1
 }
 
 func (ix *index) add(row Tuple, ord int32) {
+	ix.next = append(ix.next, -1)
 	k := ix.rowKey(row)
-	ix.m[k] = append(ix.m[k], ord)
+	if c, ok := ix.m[k]; ok {
+		ix.next[c.last] = ord
+		ix.m[k] = chain{c.first, ord}
+	} else {
+		ix.m[k] = chain{ord, ord}
+	}
 }
 
 // Relation is a mutable set of same-arity tuples. Insertion order is
@@ -171,13 +188,12 @@ func (ix *index) add(row Tuple, ord int32) {
 // goroutines must warm every index it will probe first (see
 // edb.Database.WarmIndexesFor).
 type Relation struct {
-	arity  int
-	rows   []Tuple  // row views into arena chunks, in insertion order
-	hashes []uint64 // hashes[i] = hashSyms(rows[i])
-	chunk  []symtab.Sym
-	slots  []int32 // open-addressed dedup set: row ordinal+1; 0 = empty
-	// indexes maps colsKey → index.
-	indexes     map[uint64]*index
+	arity       int
+	rows        []Tuple  // row views into arena chunks, in insertion order
+	hashes      []uint64 // hashes[i] = hashSyms(rows[i])
+	chunk       []symtab.Sym
+	slots       []int32  // open-addressed dedup set: row ordinal+1; 0 = empty
+	indexes     []*index // few per relation: a slice beats a map for Insert's walk
 	indexBuilds int
 }
 
@@ -306,6 +322,7 @@ func (r *Relation) Reset() {
 	clear(r.slots)
 	for _, ix := range r.indexes {
 		clear(ix.m)
+		ix.next = ix.next[:0]
 	}
 }
 
@@ -328,19 +345,26 @@ func (r *Relation) indexOn(cols []int) *index {
 		cols = cols[:maxIndexCols]
 	}
 	k := colsKey(cols)
-	ix, ok := r.indexes[k]
-	if !ok {
-		ix = &index{cols: append([]int(nil), cols...), m: make(map[uint64][]int32, len(r.rows))}
+	ix := r.findIndex(k)
+	if ix == nil {
+		ix = &index{key: k, cols: append([]int(nil), cols...),
+			m: make(map[uint64]chain, len(r.rows)), next: make([]int32, 0, len(r.rows))}
 		for i, row := range r.rows {
 			ix.add(row, int32(i))
 		}
-		if r.indexes == nil {
-			r.indexes = make(map[uint64]*index)
-		}
-		r.indexes[k] = ix
+		r.indexes = append(r.indexes, ix)
 		r.indexBuilds++
 	}
 	return ix
+}
+
+func (r *Relation) findIndex(k uint64) *index {
+	for _, ix := range r.indexes {
+		if ix.key == k {
+			return ix
+		}
+	}
+	return nil
 }
 
 // Distinct reports the number of distinct values in column col, building
@@ -415,6 +439,17 @@ func (b Binding) Constrains() bool {
 // r. Note the index over the bound-column set is built on first use; see
 // the concurrency note on Relation.
 func (r *Relation) Select(b Binding) []Tuple {
+	if len(b) == r.arity && !b.Constrains() {
+		return r.rows
+	}
+	return r.AppendSelect(nil, b)
+}
+
+// AppendSelect appends the tuples matching the binding to dst and returns
+// the extended slice, so callers can reuse one result buffer across
+// selections. Unlike Select it never returns the relation's own row slice:
+// dst is always the caller's, even when no column is bound.
+func (r *Relation) AppendSelect(dst []Tuple, b Binding) []Tuple {
 	if len(b) != r.arity {
 		panic(fmt.Sprintf("relation: select binding arity %d on arity-%d relation", len(b), r.arity))
 	}
@@ -428,16 +463,15 @@ func (r *Relation) Select(b Binding) []Tuple {
 		}
 	}
 	if len(cols) == 0 {
-		return r.rows
+		return append(dst, r.rows...)
 	}
 	ix := r.indexOn(cols)
-	var out []Tuple
-	for _, ord := range ix.probe(valsBuf[:len(cols)]) {
+	for ord := ix.probe(valsBuf[:len(cols)]); ord >= 0; ord = ix.next[ord] {
 		if b.Matches(r.rows[ord]) {
-			out = append(out, r.rows[ord])
+			dst = append(dst, r.rows[ord])
 		}
 	}
-	return out
+	return dst
 }
 
 // HasSelectIndex reports whether the composite index Select(b) would probe
@@ -455,8 +489,7 @@ func (r *Relation) HasSelectIndex(b Binding) bool {
 	if len(cols) == 0 {
 		return true
 	}
-	_, ok := r.indexes[colsKey(cols)]
-	return ok
+	return r.findIndex(colsKey(cols)) != nil
 }
 
 // Project returns a new relation containing each row restricted to cols, in
@@ -547,7 +580,7 @@ func Join(r, s *Relation, on []EqPair) *Relation {
 			for i := 0; i < n; i++ {
 				valsBuf[i] = b[on[i].R]
 			}
-			for _, ord := range ix.probe(valsBuf[:n]) {
+			for ord := ix.probe(valsBuf[:n]); ord >= 0; ord = ix.next[ord] {
 				if a := r.rows[ord]; eqAll(a, b, on) {
 					emit(a, b)
 				}
@@ -564,7 +597,7 @@ func Join(r, s *Relation, on []EqPair) *Relation {
 		for i := 0; i < n; i++ {
 			valsBuf[i] = a[on[i].L]
 		}
-		for _, ord := range ix.probe(valsBuf[:n]) {
+		for ord := ix.probe(valsBuf[:n]); ord >= 0; ord = ix.next[ord] {
 			if b := s.rows[ord]; eqAll(a, b, on) {
 				emit(a, b)
 			}
@@ -603,7 +636,7 @@ func SemiJoin(r, s *Relation, on []EqPair) *Relation {
 		for i := 0; i < n; i++ {
 			valsBuf[i] = a[on[i].L]
 		}
-		for _, ord := range ix.probe(valsBuf[:n]) {
+		for ord := ix.probe(valsBuf[:n]); ord >= 0; ord = ix.next[ord] {
 			if eqAll(a, s.rows[ord], on) {
 				out.Insert(a)
 				break

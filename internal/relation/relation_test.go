@@ -401,6 +401,40 @@ func TestDuplicateInsertZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendSelectNeverAliasesRows pins AppendSelect's buffer contract: an
+// all-free binding copies the rows into dst instead of handing out the
+// relation's own row slice, so a caller that reuses the result as its next
+// dst cannot overwrite stored rows.
+func TestAppendSelectNeverAliasesRows(t *testing.T) {
+	r := New(2)
+	for i := symtab.Sym(1); i <= 10; i++ {
+		r.Insert(tup(i%3+1, i))
+	}
+	before := append([]Tuple(nil), r.Rows()...)
+	buf := r.AppendSelect(nil, Binding{symtab.NoSym, symtab.NoSym})
+	if len(buf) != r.Len() {
+		t.Fatalf("all-free AppendSelect returned %d rows, want %d", len(buf), r.Len())
+	}
+	buf = r.AppendSelect(buf[:0], Binding{2, symtab.NoSym})
+	for _, row := range buf {
+		if row[0] != 2 {
+			t.Errorf("AppendSelect(col0=2) returned %v", row)
+		}
+	}
+	for i, row := range r.Rows() {
+		if !row.Equal(before[i]) {
+			t.Fatalf("Rows()[%d] = %v after reusing the result buffer, want %v", i, row, before[i])
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		buf = r.AppendSelect(buf[:0], Binding{2, symtab.NoSym})
+		buf = r.AppendSelect(buf[:0], Binding{symtab.NoSym, symtab.NoSym})
+	})
+	if allocs != 0 {
+		t.Errorf("AppendSelect into a warmed buffer allocates %.1f times per op, want 0", allocs)
+	}
+}
+
 // TestJoinProbeSideSelection pins the build-side heuristic: the smaller
 // relation gets the index, so joining a tiny relation against a large one
 // builds no index on the large side.

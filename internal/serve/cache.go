@@ -17,15 +17,18 @@ const maxCachedRows = 4096
 // resultCache is the LRU in front of evaluation. Keys bind the plan-cache
 // key, the bound constants, and the EDB version (resultKey), so a key can
 // never outlive the data it summarizes: any AddFact bumps the version and
-// every live key goes cold. Values are the exact tuples the populating
-// evaluation emitted, in emission order — a hit replays them verbatim, so
-// hit responses are byte-identical to the cold evaluation that filled the
-// entry.
+// every live key goes cold. Cold entries can never hit again, so they are
+// dropped rather than left to age out: the first put at a newer version
+// empties the cache, and a put computed at an older version is not
+// stored. Values are the exact tuples the populating evaluation emitted,
+// in emission order — a hit replays them verbatim, so hit responses are
+// byte-identical to the cold evaluation that filled the entry.
 type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[string]*list.Element
-	order list.List // front = most recently used; values are *cacheEntry
+	mu      sync.Mutex
+	cap     int
+	version uint64 // EDB version of every stored entry
+	m       map[string]*list.Element
+	order   list.List // front = most recently used; values are *cacheEntry
 }
 
 type cacheEntry struct {
@@ -47,12 +50,22 @@ func (c *resultCache) get(key string) ([][]string, bool) {
 	return nil, false
 }
 
-func (c *resultCache) put(key string, rows [][]string) {
+// put stores rows computed at EDB version under key (a resultKey built
+// with the same version).
+func (c *resultCache) put(key string, version uint64, rows [][]string) {
 	if len(rows) > maxCachedRows {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	switch {
+	case version < c.version:
+		return
+	case version > c.version:
+		clear(c.m)
+		c.order.Init()
+		c.version = version
+	}
 	if el, ok := c.m[key]; ok {
 		el.Value.(*cacheEntry).rows = rows
 		c.order.MoveToFront(el)

@@ -282,6 +282,62 @@ func TestResultCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestResultCacheDropsDeadVersions locks the purge of entries a write made
+// unreachable: the first put after a fact empties the cache, a put
+// computed at an older EDB version is not stored, and hits at the current
+// version still replay their answers exactly.
+func TestResultCacheDropsDeadVersions(t *testing.T) {
+	srv, addr := startServer(t, Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sc := bufio.NewScanner(conn)
+	ask := func(src string) []string {
+		t.Helper()
+		tuples, _, err := query(t, conn, sc, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(tuples)
+		return tuples
+	}
+
+	ask("?- path(a, Y).")
+	ask("?- path(x, Y).")
+	if n := srv.cache.len(); n != 2 {
+		t.Fatalf("%d cached entries before the write, want 2", n)
+	}
+	v0 := srv.sys.EDBVersion()
+	srv.sys.AddFact("edge", "y", "z")
+	if got := ask("?- path(x, Y)."); !reflect.DeepEqual(got, []string{"y", "z"}) {
+		t.Fatalf("after the write: %v, want [y z]", got)
+	}
+	if n := srv.cache.len(); n != 1 {
+		t.Errorf("%d cached entries after the first put at the new version, want 1", n)
+	}
+
+	// An evaluation that read the old version finishes after the write.
+	pq, args, _, err := srv.sys.QueryPrepared("?- path(b, Y).", srv.queryOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := resultKey(pq, args, v0)
+	srv.cache.put(stale, v0, [][]string{{"a"}})
+	if _, ok := srv.cache.get(stale); ok || srv.cache.len() != 1 {
+		t.Errorf("a put at an older version was stored (%d entries)", srv.cache.len())
+	}
+
+	hits := srv.Stats().Snapshot().ResultHits
+	if got := ask("?- path(x, Y)."); !reflect.DeepEqual(got, []string{"y", "z"}) {
+		t.Errorf("hit after the purge: %v, want [y z]", got)
+	}
+	if sn := srv.Stats().Snapshot(); sn.ResultHits != hits+1 {
+		t.Errorf("result hits %d -> %d, want one more", hits, sn.ResultHits)
+	}
+}
+
 // chain returns a linear-chain program of n edges with transitive
 // closure rules — long derivation chains make evaluations slow enough to
 // be caught mid-flight by shutdown tests.

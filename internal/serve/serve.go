@@ -554,8 +554,9 @@ func (s *Server) run(ctx context.Context, tenant, src string, emit func(tuple []
 	}
 
 	var key string
+	version := s.sys.EDBVersion()
 	if s.cache != nil {
-		key = resultKey(pq, args, s.sys.EDBVersion())
+		key = resultKey(pq, args, version)
 		if rows, ok := s.cache.get(key); ok {
 			stats.ResultHit()
 			for _, t := range rows {
@@ -626,7 +627,7 @@ func (s *Server) run(ctx context.Context, tenant, src string, emit func(tuple []
 		return reused, false, evalErr
 	}
 	if s.cache != nil {
-		s.cache.put(key, rows)
+		s.cache.put(key, version, rows)
 	}
 	if s.cfg.Logf != nil {
 		s.cfg.Logf("query %q tenant=%s: %d answers, plan=%s %s, %v",
